@@ -19,13 +19,22 @@ rate-free quantity:
   pattern, and the topological level schedule
   (:class:`repro.ctmc.acyclic.BatchDagStructure`). Cached per process
   via :func:`lattice_structure`.
-* :func:`fill_transition_rates` — the cheap per-point stage: evaluate
-  the five transition-rate formulas on the cached state arrays and
-  scatter them into the shared sparsity pattern.
+* :func:`fill_transition_rates` — the cheap per-point stage. No rate
+  formula needs the full ``(t, u, d)`` state: ``cp``/``drq``/``ids``/
+  ``fa`` depend on ``(t, u)`` alone and ``rk`` on ``t + u + d`` alone.
+  The fill evaluates the five formulas on those small index spaces
+  (5,151 pairs and 101 member counts at ``N = 100``, against 176,851
+  states), concatenates them into one source vector and fills the CSR
+  values with a single gather through the structure's ``rate_gather``.
+* :func:`lattice_state_costs` — the cost reward ``c(t, u, d)`` the
+  same way: :meth:`~repro.costs.aggregate.GCSCostModel.cost_vector` on
+  the distinct pairs, gathered back to states by ``pair_of_state``.
 
-:func:`build_lattice_chain` composes the two back into the historical
-one-call API (and is itself faster on repeated calls, since the
-skeleton is cached), while the batched sweep path in
+Both collapses are bit-identical to evaluating every state, because
+each state's value comes from the same element-wise IEEE operations.
+:func:`build_lattice_chain` composes structure and fill back into the
+historical one-call API (and is itself faster on repeated calls, since
+the skeleton is cached), while the batched sweep path in
 :func:`repro.core.metrics.evaluate_batch` feeds many fills to one
 :func:`repro.ctmc.acyclic.solve_dag_batch` call.
 """
@@ -37,7 +46,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -50,6 +59,11 @@ from ..obs import metrics, span
 from ..params import GCSParameters
 from .rates import GCSRates
 
+# Annotation only: importing the cost model while this module loads
+# moves scipy's first import and slows `import repro.cli` by ~0.1 s.
+if TYPE_CHECKING:  # pragma: no cover
+    from ..costs.aggregate import GCSCostModel
+
 log = logging.getLogger(__name__)
 
 __all__ = [
@@ -61,6 +75,7 @@ __all__ = [
     "seed_structure_cache",
     "clear_structure_cache",
     "fill_transition_rates",
+    "lattice_state_costs",
     "build_lattice_chain",
 ]
 
@@ -138,6 +153,16 @@ class LatticeStructure:
     indices: np.ndarray
     #: Level schedule + padded gather plan of the structural DAG.
     dag: BatchDagStructure
+    #: The distinct ``(t, u)`` pairs, and each lattice state's pair
+    #: (``pair_t[pair_of_state] == t``, likewise for ``u``).
+    pair_t: np.ndarray
+    pair_u: np.ndarray
+    pair_of_state: np.ndarray
+    #: Per CSR slot, its position in the concatenated per-kind source
+    #: vector of :func:`fill_transition_rates`: one block of pairs for
+    #: each of ``cp``/``drq``/``ids``/``fa``, then ``rk`` indexed by
+    #: ``t + u + d`` in ``0..N``.
+    rate_gather: np.ndarray
 
     @property
     def n_lattice(self) -> int:
@@ -245,6 +270,21 @@ def _build_structure(n: int) -> LatticeStructure:
         slots[kind] = slot_for[offset : offset + size]
         offset += size
 
+    # ---- small index spaces of the per-point fill and costs -----------
+    # Costs and the cp/drq/ids/fa rates depend on (t, u) alone, rk on
+    # t + u + d alone.
+    pair_grid = np.indices((n + 1, n + 1))
+    pair_mask = pair_grid.sum(axis=0) <= n
+    pair_t, pair_u = (g[pair_mask].astype(np.int64) for g in pair_grid)
+    pair_id = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    pair_id[pair_t, pair_u] = np.arange(pair_t.size)
+    pair_of_state = pair_id[t_all, u_all]
+    members = t_all + u_all + d_all
+    rate_gather = np.empty(order.size, dtype=np.int64)
+    for k, kind in enumerate(_KINDS):
+        space = members if kind == "rk" else pair_of_state
+        rate_gather[slots[kind]] = k * pair_t.size + space[src[kind]]
+
     dag = batch_dag_structure(indptr, indices)
 
     depletion = np.flatnonzero((t_all == 0) & (u_all == 0) & (d_all == 0))
@@ -263,6 +303,10 @@ def _build_structure(n: int) -> LatticeStructure:
         depletion,
         indptr,
         indices,
+        pair_t,
+        pair_u,
+        pair_of_state,
+        rate_gather,
         *masks.values(),
         *src.values(),
         *dst.values(),
@@ -297,6 +341,10 @@ def _build_structure(n: int) -> LatticeStructure:
         indptr=indptr,
         indices=indices,
         dag=dag,
+        pair_t=pair_t,
+        pair_u=pair_u,
+        pair_of_state=pair_of_state,
+        rate_gather=rate_gather,
     )
 
 
@@ -381,18 +429,19 @@ def fill_transition_rates(
 
     The formulas are the historical ``build_lattice_chain`` arithmetic
     verbatim (bit-identical values; the per-point/batched equality tests
-    depend on that), only evaluated against cached state arrays.
+    depend on that), evaluated once per ``(t, u)`` pair (``rk`` once per
+    member count ``t + u + d``) and gathered into the CSR slots.
     """
     t_fill = time.perf_counter()
     n = structure.num_nodes
-    t_all, u_all, d_all = structure.t, structure.u, structure.d
+    t, u = structure.pair_t, structure.pair_u
     scale = rates.group_scale
 
     att = rates.attacker
     det = rates.detection
-    live = t_all + u_all
+    live = t + u
     with np.errstate(divide="ignore", invalid="ignore"):
-        mc = np.where(t_all > 0, live / np.maximum(t_all, 1), 1.0)
+        mc = np.where(t > 0, live / np.maximum(t, 1), 1.0)
         md = np.where(live > 0, n / np.maximum(live, 1), 1.0)
     a_rate = att.base_rate_hz * vector_shape_factor(
         att.form, mc, att.base_index_p, att.shifted_log
@@ -406,36 +455,35 @@ def fill_transition_rates(
     # table spans 2n so the boundary max(·, 1) adjustments below never
     # leave its simplex (g + b <= 2n always holds for g, b <= n).
     pfp_table, pfn_table = rates.voting.table(2 * n)
-    tg = np.clip(np.rint(t_all * scale).astype(np.int64), 0, n)
-    ug = np.clip(np.rint(u_all * scale).astype(np.int64), 0, n)
+    tg = np.clip(np.rint(t * scale).astype(np.int64), 0, n)
+    ug = np.clip(np.rint(u * scale).astype(np.int64), 0, n)
     tg_fa = np.maximum(tg, 1)
     ug_ids = np.maximum(ug, 1)
     pfn = pfn_table[tg, ug_ids]
     pfp = pfp_table[tg_fa, ug]
 
-    # Rekey rate via a precomputed Tcm lookup.
+    # Rekey rate via a precomputed Tcm lookup, per member count t+u+d.
     tcm = np.array([rates.rekey.tcm_s(max(k, 2)) for k in range(n + 2)])
-    members = np.clip(
-        np.rint((t_all + u_all + d_all) * scale).astype(np.int64), 0, n + 1
-    )
+    members = np.clip(np.rint(np.arange(n + 1) * scale).astype(np.int64), 0, n + 1)
     rk_rate = 1.0 / tcm[members]
 
     leak_rate = (
         rates.params.detection.host_false_negative
         * rates.params.workload.data_rate_hz
-        * u_all
+        * u
     )
 
-    per_state = {
-        "cp": a_rate,
-        "drq": leak_rate,
-        "ids": u_all * d_rate * (1.0 - pfn),
-        "fa": t_all * d_rate * pfp,
-        "rk": rk_rate,
-    }
-    values = np.zeros(structure.nnz, dtype=float)
-    for kind in _KINDS:
-        values[structure.slots[kind]] = per_state[kind][structure.masks[kind]]
+    # Source blocks in _KINDS order, as rate_gather indexes them.
+    source = np.concatenate(
+        [
+            a_rate,
+            leak_rate,
+            u * d_rate * (1.0 - pfn),
+            t * d_rate * pfp,
+            rk_rate,
+        ]
+    )
+    values = source[structure.rate_gather]
 
     if not np.all(np.isfinite(values)):
         raise ModelError("transition rates must be finite")
@@ -446,6 +494,27 @@ def fill_transition_rates(
         time.perf_counter() - t_fill
     )
     return TransitionRateFill(structure=structure, values=values)
+
+
+def lattice_state_costs(
+    structure: LatticeStructure,
+    cost_model: GCSCostModel,
+    *,
+    per_component: bool = False,
+) -> "np.ndarray | dict[str, np.ndarray]":
+    """``cost_model.cost_vector`` over every lattice state (C1 excluded).
+
+    Every cost term depends on ``(t, u)`` alone, so the cost model runs
+    on the structure's distinct pairs and the result is gathered back to
+    states by ``pair_of_state`` — bit-identical to
+    ``cost_vector(structure.t, structure.u, structure.d)``. With
+    ``per_component=True`` returns one array per component.
+    """
+    t, u = structure.pair_t, structure.pair_u
+    costs = cost_model.cost_vector(t, u, np.zeros_like(t), per_component=per_component)
+    if per_component:
+        return {name: vec[structure.pair_of_state] for name, vec in costs.items()}
+    return costs[structure.pair_of_state]
 
 
 def build_lattice_chain(

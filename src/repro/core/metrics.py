@@ -48,11 +48,17 @@ from ..ctmc.transient import (
 )
 from ..errors import ParameterError
 from ..manet.network import NetworkModel
+from ..obs import span
 from ..params import GCSParameters
 from ..spn.analysis import analyze_spn
 from ..validation import require_sorted_unique
 from .failure import FailureClass
-from .fastpath import build_lattice_chain, fill_transition_rates, lattice_structure
+from .fastpath import (
+    build_lattice_chain,
+    fill_transition_rates,
+    lattice_state_costs,
+    lattice_structure,
+)
 from .model import build_gcs_spn
 from .rates import GCSRates
 from .results import GCSResult, SurvivabilityResult
@@ -188,8 +194,10 @@ class GCSEvaluation:
             self.params, self.network, expected_groups=self.expected_groups
         )
         n_states = lattice.num_states
-        costs = cost_model.cost_vector(
-            lattice.t, lattice.u, lattice.d, per_component=include_breakdown
+        costs = lattice_state_costs(
+            lattice_structure(self.params.num_nodes),
+            cost_model,
+            per_component=include_breakdown,
         )
         rewards: dict[str, np.ndarray] = {}
         if include_breakdown:
@@ -440,39 +448,40 @@ def _prepare_point(
 ) -> _PreparedPoint:
     """Mirror of :meth:`GCSEvaluation._run_fast`'s build stage."""
     t0 = time.perf_counter()
-    net = resolve_network(params, network)
-    bd = BirthDeathProcess.for_group_count(
-        net.partition_rate_hz,
-        net.merge_rate_hz,
-        params.groups.max_groups,
-    )
-    ng_distribution = bd.level_distribution()
-    expected_groups = bd.mean_level()
-    cost_model = GCSCostModel(
-        params, net, sizes=sizes, ng_distribution=ng_distribution
-    )
-    rates = GCSRates.from_scenario(
-        params, net, expected_groups=expected_groups
-    )
-    fill = fill_transition_rates(structure, rates)
-    costs = cost_model.cost_vector(
-        structure.t, structure.u, structure.d, per_component=include_breakdown
-    )
-    # Reward columns exactly as the per-point path assembles them: the
-    # C1 state accrues nothing, and with a breakdown the total is its
-    # own solved column (not the sum of the component solutions).
-    reward_columns: list[np.ndarray] = []
-    breakdown_names: Optional[list[str]] = None
-    if include_breakdown:
-        breakdown_names = list(costs)
-        total = np.zeros(structure.num_states)
-        for vec in costs.values():
-            padded = np.append(vec, 0.0)
-            reward_columns.append(padded)
-            total += padded
-        reward_columns.append(total)
-    else:
-        reward_columns.append(np.append(costs, 0.0))
+    # Costs first: the cost model checks the network against the
+    # parameters before any rate is filled, as on the per-point path.
+    with span("prepare.costs"):
+        net = resolve_network(params, network)
+        bd = BirthDeathProcess.for_group_count(
+            net.partition_rate_hz,
+            net.merge_rate_hz,
+            params.groups.max_groups,
+        )
+        cost_model = GCSCostModel(
+            params, net, sizes=sizes, ng_distribution=bd.level_distribution()
+        )
+        costs = lattice_state_costs(
+            structure, cost_model, per_component=include_breakdown
+        )
+        # Reward columns exactly as the per-point path assembles them:
+        # the C1 state accrues nothing, and with a breakdown the total
+        # is its own solved column (not the sum of the component
+        # solutions).
+        reward_columns: list[np.ndarray] = []
+        breakdown_names: Optional[list[str]] = None
+        if include_breakdown:
+            breakdown_names = list(costs)
+            total = np.zeros(structure.num_states)
+            for vec in costs.values():
+                padded = np.append(vec, 0.0)
+                reward_columns.append(padded)
+                total += padded
+            reward_columns.append(total)
+        else:
+            reward_columns.append(np.append(costs, 0.0))
+    with span("prepare.rates"):
+        rates = GCSRates.from_scenario(params, net, expected_groups=bd.mean_level())
+        fill = fill_transition_rates(structure, rates)
     return _PreparedPoint(
         index=index,
         params=params,
@@ -511,26 +520,28 @@ def _solve_prepared(
     n_rewards = len(prepared[0].reward_columns)
     k = 1 + n_rewards + 3
 
-    numer = np.zeros((P, n, k))
-    numer[:, :, 0] = 1.0  # hitting-time numerator (ignored at absorbing)
-    for j, point in enumerate(prepared):
-        for c, column in enumerate(point.reward_columns, start=1):
-            numer[j, :, c] = column
+    with span("solve.mean", points=P):
+        numer = np.zeros((P, n, k))
+        numer[:, :, 0] = 1.0  # hitting-time numerator (ignored at absorbing)
+        for j, point in enumerate(prepared):
+            for c, column in enumerate(point.reward_columns, start=1):
+                numer[j, :, c] = column
 
-    boundary = np.zeros((n, k))
-    boundary[structure.c1_state, 1 + n_rewards] = 1.0
-    boundary[structure.c2_states, 2 + n_rewards] = 1.0
-    boundary[structure.depletion_states, 3 + n_rewards] = 1.0
+        boundary = np.zeros((n, k))
+        boundary[structure.c1_state, 1 + n_rewards] = 1.0
+        boundary[structure.c2_states, 2 + n_rewards] = 1.0
+        boundary[structure.depletion_states, 3 + n_rewards] = 1.0
 
-    values = np.stack([point.values for point in prepared])
-    x = solve_dag_batch(structure.dag, values, numer, boundary, kernel=kernel)
+        values = np.stack([point.values for point in prepared])
+        x = solve_dag_batch(structure.dag, values, numer, boundary, kernel=kernel)
 
     m2: Optional[np.ndarray] = None
     if include_variance:
-        numer2 = np.ascontiguousarray(2.0 * x[:, :, 0:1])
-        m2 = solve_dag_batch(
-            structure.dag, values, numer2, np.zeros((n, 1)), kernel=kernel
-        )[:, :, 0]
+        with span("solve.variance", points=P):
+            numer2 = np.ascontiguousarray(2.0 * x[:, :, 0:1])
+            m2 = solve_dag_batch(
+                structure.dag, values, numer2, np.zeros((n, 1)), kernel=kernel
+            )[:, :, 0]
     return x, m2, time.perf_counter() - t0
 
 
@@ -681,20 +692,21 @@ def evaluate_batch_outcomes(
                 kernel=kernel,
             )
             share = elapsed / len(prepared)
-            for j, point in enumerate(prepared):
-                try:
-                    outcomes[point.index] = (
-                        _package_point(
-                            structure,
-                            point,
-                            x[j],
-                            m2[j] if m2 is not None else None,
-                            share,
-                        ),
-                        None,
-                    )
-                except Exception as exc:  # noqa: BLE001 — per-point capture
-                    outcomes[point.index] = (None, exc)
+            with span("package", points=len(prepared)):
+                for j, point in enumerate(prepared):
+                    try:
+                        outcomes[point.index] = (
+                            _package_point(
+                                structure,
+                                point,
+                                x[j],
+                                m2[j] if m2 is not None else None,
+                                share,
+                            ),
+                            None,
+                        )
+                    except Exception as exc:  # noqa: BLE001 — per-point capture
+                        outcomes[point.index] = (None, exc)
 
     return outcomes
 
@@ -773,7 +785,7 @@ def evaluate_survivability(
     cost_model = GCSCostModel(
         params, net, sizes=sizes, ng_distribution=bd.level_distribution()
     )
-    costs = cost_model.cost_vector(lattice.t, lattice.u, lattice.d)
+    costs = lattice_state_costs(lattice_structure(params.num_nodes), cost_model)
     cost_padded = np.append(costs, 0.0)  # C1 state accrues nothing
     build_s = time.perf_counter() - t0
 
@@ -820,6 +832,38 @@ def _survivability_chunk_size(
     n = structure.num_states
     per_point = 8 * (3 * structure.nnz + n * (n_times + 4))
     return max(1, max_batch_bytes // max(per_point, 1))
+
+
+def _package_survivability(
+    structure,
+    point: _PreparedPoint,
+    dist: np.ndarray,
+    times: tuple[float, ...],
+    class_members: dict[str, list[int]],
+    absorbing_mask: np.ndarray,
+    solve_seconds: float,
+) -> SurvivabilityResult:
+    """One batched point's curves, packaged as :func:`evaluate_survivability`."""
+    survival, cdf, cost_rate, bounded = _survivability_curves(
+        dist,
+        times,
+        point.reward_columns[0],
+        structure.initial_state,
+        class_members,
+        absorbing_mask,
+    )
+    return SurvivabilityResult(
+        params=point.params,
+        times_s=times,
+        survival=tuple(float(s) for s in survival),
+        failure_cdf={k: tuple(float(x) for x in v) for k, v in cdf.items()},
+        expected_cost_rate=tuple(float(c) for c in cost_rate),
+        time_bounded_cost=tuple(float(c) for c in bounded),
+        num_states=structure.num_states,
+        solver="uniformization-batch",
+        build_seconds=point.build_seconds,
+        solve_seconds=solve_seconds,
+    )
 
 
 def evaluate_survivability_batch_outcomes(
@@ -890,18 +934,19 @@ def evaluate_survivability_batch_outcomes(
             if not prepared:
                 continue
             t0 = time.perf_counter()
-            values = np.stack([point.values for point in prepared])
             try:
-                dist = transient_distribution_batch(
-                    structure.indptr,
-                    structure.indices,
-                    values,
-                    np.asarray(times),
-                    structure.initial_state,
-                    eps=eps,
-                    kernel=kernel,
-                    backend=transient_backend,
-                )
+                with span("solve.transient", points=len(prepared)):
+                    values = np.stack([point.values for point in prepared])
+                    dist = transient_distribution_batch(
+                        structure.indptr,
+                        structure.indices,
+                        values,
+                        np.asarray(times),
+                        structure.initial_state,
+                        eps=eps,
+                        kernel=kernel,
+                        backend=transient_backend,
+                    )
             except Exception as exc:  # noqa: BLE001 — chunk-level capture
                 # A shared-sweep failure (e.g. invalid eps) fails every
                 # chunk member, matching per-point loop semantics.
@@ -909,39 +954,24 @@ def evaluate_survivability_batch_outcomes(
                     outcomes[point.index] = (None, exc)
                 continue
             share = (time.perf_counter() - t0) / len(prepared)
-            q = csr_row_sums(structure.indptr, values)
-            for j, point in enumerate(prepared):
-                try:
-                    survival, cdf, cost_rate, bounded = _survivability_curves(
-                        dist[j],
-                        times,
-                        point.reward_columns[0],
-                        structure.initial_state,
-                        class_members,
-                        q[j] == 0.0,
-                    )
-                    outcomes[point.index] = (
-                        SurvivabilityResult(
-                            params=point.params,
-                            times_s=times,
-                            survival=tuple(float(s) for s in survival),
-                            failure_cdf={
-                                k: tuple(float(x) for x in v)
-                                for k, v in cdf.items()
-                            },
-                            expected_cost_rate=tuple(
-                                float(c) for c in cost_rate
+            with span("package", points=len(prepared)):
+                q = csr_row_sums(structure.indptr, values)
+                for j, point in enumerate(prepared):
+                    try:
+                        outcomes[point.index] = (
+                            _package_survivability(
+                                structure,
+                                point,
+                                dist[j],
+                                times,
+                                class_members,
+                                q[j] == 0.0,
+                                share,
                             ),
-                            time_bounded_cost=tuple(float(c) for c in bounded),
-                            num_states=structure.num_states,
-                            solver="uniformization-batch",
-                            build_seconds=point.build_seconds,
-                            solve_seconds=share,
-                        ),
-                        None,
-                    )
-                except Exception as exc:  # noqa: BLE001 — per-point capture
-                    outcomes[point.index] = (None, exc)
+                            None,
+                        )
+                    except Exception as exc:  # noqa: BLE001 — per-point capture
+                        outcomes[point.index] = (None, exc)
 
     return outcomes
 

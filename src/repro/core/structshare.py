@@ -74,7 +74,7 @@ __all__ = [
 #: Bump whenever the array layout of :class:`LatticeStructure` /
 #: :class:`BatchDagStructure` changes; stale cache files and foreign
 #: segments then simply miss instead of deserialising garbage.
-STRUCT_SCHEMA_VERSION = 1
+STRUCT_SCHEMA_VERSION = 2
 
 _SHM_ALIGN = 16
 
@@ -126,6 +126,10 @@ def structure_to_arrays(structure: LatticeStructure) -> dict[str, np.ndarray]:
         "depletion_states": structure.depletion_states,
         "indptr": structure.indptr,
         "indices": structure.indices,
+        "pair_t": structure.pair_t,
+        "pair_u": structure.pair_u,
+        "pair_of_state": structure.pair_of_state,
+        "rate_gather": structure.rate_gather,
         "dag_slot_rows": dag.slot_rows,
         "dag_levels": dag.structure.levels,
         "dag_ell_cols": dag.ell_cols,
@@ -202,6 +206,10 @@ def structure_from_arrays(
         indptr=arr("indptr"),
         indices=arr("indices"),
         dag=dag,
+        pair_t=arr("pair_t"),
+        pair_u=arr("pair_u"),
+        pair_of_state=arr("pair_of_state"),
+        rate_gather=arr("rate_gather"),
     )
 
 

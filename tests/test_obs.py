@@ -282,6 +282,95 @@ class TestCrossProcessMerge:
 
 
 # ---------------------------------------------------------------------------
+# layer attribution: no dark time inside a batched solve
+# ---------------------------------------------------------------------------
+
+#: Share of every ``vector.solve`` span its direct children must cover.
+MIN_CHILD_COVERAGE = 0.95
+
+
+def _child_coverage(records, parent_name: str) -> list[tuple[float, set]]:
+    """Per ``parent_name`` span: covered fraction and child span names."""
+    coverage = []
+    for parent in (r for r in records if r.name == parent_name):
+        end = parent.start_s + parent.duration_s
+        children = [
+            r
+            for r in records
+            if (r.pid, r.tid) == (parent.pid, parent.tid)
+            and r.depth == parent.depth + 1
+            and parent.start_s <= r.start_s <= end
+        ]
+        covered = sum(r.duration_s for r in children) / parent.duration_s
+        coverage.append((covered, {r.name for r in children}))
+    return coverage
+
+
+class TestLayerCoverage:
+    def test_traced_quick_sweep_has_no_dark_solve_time(self, tmp_path):
+        from repro.cli import main
+
+        trace = tmp_path / "trace.jsonl"
+        code = main(
+            [
+                "sweep",
+                "--axis",
+                "detection_interval_s=15,60,240,960",
+                "--axis",
+                "num_voters=3,5,7",
+                "--n",
+                "40",
+                "--jobs",
+                "vector",
+                "--trace",
+                str(trace),
+            ]
+        )
+        assert code == 0
+        with open(trace, encoding="utf-8") as fh:
+            records = records_from_dicts(json.loads(line) for line in fh)
+        coverage = _child_coverage(records, "vector.solve")
+        assert coverage, "no vector.solve span recorded"
+        for covered, names in coverage:
+            assert {"prepare.rates", "prepare.costs", "solve.mean"} <= names
+            assert "package" in names
+            assert covered >= MIN_CHILD_COVERAGE, (covered, names)
+
+    @pytest.mark.parametrize("kind", ["variance", "survivability"])
+    def test_variance_and_survivability_solves_are_attributed(self, kind):
+        from repro.engine import SurvivabilityRequest
+        from repro.engine.batch import evaluate_survivability_request
+
+        base = GCSParameters.paper_defaults(num_nodes=40)
+        grid = [
+            base.replacing(num_voters=m, detection_interval_s=t)
+            for m in (3, 5)
+            for t in (60.0, 240.0)
+        ]
+        if kind == "variance":
+            requests = [
+                EvalRequest(params=p, include_breakdown=True, include_variance=True)
+                for p in grid
+            ]
+            options, solve = {}, "solve.variance"
+        else:
+            requests = [
+                SurvivabilityRequest(params=p, times_s=(0.5, 2.0, 8.0)) for p in grid
+            ]
+            options = {"evaluate": evaluate_survivability_request}
+            solve = "solve.transient"
+        enable_tracing()
+        BatchRunner(backend=make_backend("vector")).run(
+            requests, **options
+        ).report.raise_on_error()
+        coverage = _child_coverage(tracer().records(), "vector.solve")
+        assert coverage, "no vector.solve span recorded"
+        for covered, names in coverage:
+            assert {"prepare.rates", "prepare.costs", solve, "package"} <= names
+            assert covered >= MIN_CHILD_COVERAGE, (covered, names)
+
+
+# ---------------------------------------------------------------------------
 # batch reports and ledger
 # ---------------------------------------------------------------------------
 

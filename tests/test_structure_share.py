@@ -44,6 +44,9 @@ from repro.params import GCSParameters
 
 N_TEST = 14
 
+#: The per-point prepare's index spaces (schema 2).
+INDEX_SPACES = ("pair_t", "pair_u", "pair_of_state", "rate_gather")
+
 
 def _fresh_structure(n):
     """A structure built from scratch, bypassing the process cache."""
@@ -78,9 +81,12 @@ class TestNpzRoundTrip:
         )
         loaded = ss.load_structure(path)
         _assert_structures_equal(structure, loaded)
+        assert set(INDEX_SPACES) <= set(ss.structure_to_arrays(loaded))
         # Loaded arrays are frozen like locally built ones.
         assert not loaded.t.flags.writeable
         assert not loaded.dag.lvl_ell_slots.flags.writeable
+        for name in INDEX_SPACES:
+            assert not getattr(loaded, name).flags.writeable, name
 
     def test_cached_structure_builds_then_loads(self, tmp_path):
         clear_structure_cache()
@@ -113,6 +119,39 @@ class TestNpzRoundTrip:
         arrays["meta"] = meta
         with pytest.raises(Exception, match="schema"):
             ss.structure_from_arrays(arrays)
+
+    def test_schema_1_cache_file_is_ignored(self, tmp_path):
+        # A file written before the prepare index spaces existed: schema
+        # 1 and no pair / rate-gather arrays.
+        structure = _fresh_structure(N_TEST)
+        arrays = {
+            name: array
+            for name, array in ss.structure_to_arrays(structure).items()
+            if name not in INDEX_SPACES
+        }
+        arrays["meta"] = arrays["meta"].copy()
+        arrays["meta"][0] = 1
+        old_path = tmp_path / f"N{N_TEST}.v1.npz"
+        np.savez(old_path, **arrays)
+
+        clear_structure_cache()
+        built = ss.cached_structure(N_TEST, tmp_path)
+        _assert_structures_equal(structure, built)
+        assert ss.structure_cache_path(N_TEST, tmp_path).exists()
+        assert old_path.exists()  # left alone, never read
+
+        # The same payload under the current name is a miss, rebuilt and
+        # rewritten, never loaded into the new layout.
+        np.savez(ss.structure_cache_path(N_TEST, tmp_path), **arrays)
+        clear_structure_cache()
+        rebuilt = ss.cached_structure(N_TEST, tmp_path)
+        _assert_structures_equal(structure, rebuilt)
+        clear_structure_cache()
+        reloaded = ss.load_structure(ss.structure_cache_path(N_TEST, tmp_path))
+        _assert_structures_equal(structure, reloaded)
+        with pytest.raises(Exception, match="schema"):
+            ss.structure_from_arrays(arrays)
+        clear_structure_cache()
 
     def test_cache_path_is_schema_versioned(self, tmp_path):
         path = ss.structure_cache_path(40, tmp_path)
