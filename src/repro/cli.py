@@ -34,11 +34,9 @@ solver; ``vector:N`` = the vector+procs hybrid fanning batch chunks
 over ``N`` pool workers; ``remote`` = submit to a sweep service),
 ``--cache-dir DIR`` (persistent content-addressed
 result cache, safe to share between concurrent processes),
-``--cache-cap-mb MB`` (LRU disk eviction cap), ``--structure-cache
-DIR|off`` (cross-worker lattice-structure sharing: shared memory by
-default, an on-disk ``.npz`` cache under DIR, or ``off`` to rebuild
-per worker), ``--kernel numba|fused|numpy`` (batched-solver kernel
-tier — sets ``REPRO_KERNEL``; all tiers bit-identical) and
+``--cache-cap-mb MB`` (LRU disk eviction cap), ``--kernel
+numba|fused|numpy`` (batched-solver kernel tier — sets
+``REPRO_KERNEL``; all tiers bit-identical) and
 ``--verbose`` (cache hit/miss/eviction statistics plus per-phase batch
 timings).
 
@@ -128,18 +126,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--structure-cache",
-        default=None,
-        metavar="DIR|off",
-        help=(
-            "share the lattice structure with worker processes: a "
-            "directory adds an on-disk .npz structure cache there, "
-            "'off' disables sharing (rebuild per worker); default is "
-            "shared memory, plus <cache-dir>/structures when "
-            "--cache-dir is set"
-        ),
-    )
-    parser.add_argument(
         "--kernel",
         choices=("numba", "fused", "numpy"),
         default=None,
@@ -211,19 +197,9 @@ def _build_runner(args: argparse.Namespace) -> Optional[BatchRunner]:
     "requires --cache-dir" validation fires instead of the flag being
     silently dropped.
     """
-    if (
-        args.jobs is None
-        and args.cache_dir is None
-        and args.cache_cap_mb is None
-        and args.structure_cache is None
-    ):
+    if args.jobs is None and args.cache_dir is None and args.cache_cap_mb is None:
         return None
-    return make_runner(
-        args.jobs,
-        args.cache_dir,
-        cache_cap_mb=args.cache_cap_mb,
-        structure_cache=args.structure_cache,
-    )
+    return make_runner(args.jobs, args.cache_dir, cache_cap_mb=args.cache_cap_mb)
 
 
 def _print_cache_stats(

@@ -14,11 +14,11 @@ scenarios differing only in rates, never in topology — amortise every
 rate-free quantity:
 
 * :class:`LatticeStructure` — the rate-free skeleton keyed by ``N``
-  alone: state enumeration, ``state_id`` lookup, per-transition-kind
-  guard masks and destination index arrays, the canonical CSR sparsity
-  pattern, and the topological level schedule
-  (:class:`repro.ctmc.acyclic.BatchDagStructure`). Cached per process
-  via :func:`lattice_structure`.
+  alone: state enumeration, ``state_id`` lookup, the canonical CSR
+  sparsity pattern of every guard-enabled transition, the small index
+  spaces the per-point stages run on, and the topological level
+  schedule (:class:`repro.ctmc.acyclic.BatchDagStructure`). Cached per
+  process via :func:`lattice_structure`.
 * :func:`fill_transition_rates` — the cheap per-point stage. No rate
   formula needs the full ``(t, u, d)`` state: ``cp``/``drq``/``ids``/
   ``fa`` depend on ``(t, u)`` alone and ``rk`` on ``t + u + d`` alone.
@@ -71,8 +71,6 @@ __all__ = [
     "LatticeStructure",
     "TransitionRateFill",
     "lattice_structure",
-    "peek_structure_cache",
-    "seed_structure_cache",
     "clear_structure_cache",
     "fill_transition_rates",
     "lattice_state_costs",
@@ -139,15 +137,6 @@ class LatticeStructure:
     c1_state: int
     c2_states: np.ndarray
     depletion_states: np.ndarray
-    #: Guard masks over lattice states, keyed by transition kind.
-    masks: dict[str, np.ndarray]
-    #: Source / destination state indices per kind (one entry per
-    #: guard-enabled transition, aligned with ``masks[kind]``'s support).
-    src: dict[str, np.ndarray]
-    dst: dict[str, np.ndarray]
-    #: Position of each kind's transitions in the canonical CSR value
-    #: array (``values[slots[kind]] = rate_of_kind``).
-    slots: dict[str, np.ndarray]
     #: Shared CSR sparsity pattern (column-sorted within rows).
     indptr: np.ndarray
     indices: np.ndarray
@@ -261,14 +250,6 @@ def _build_structure(n: int) -> LatticeStructure:
     counts = np.bincount(rows_all, minlength=num_states)
     indptr = np.zeros(num_states + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    slot_for = np.empty(order.size, dtype=np.int64)
-    slot_for[order] = np.arange(order.size)
-    slots: dict[str, np.ndarray] = {}
-    offset = 0
-    for kind in _KINDS:
-        size = src[kind].size
-        slots[kind] = slot_for[offset : offset + size]
-        offset += size
 
     # ---- small index spaces of the per-point fill and costs -----------
     # Costs and the cp/drq/ids/fa rates depend on (t, u) alone, rk on
@@ -280,10 +261,13 @@ def _build_structure(n: int) -> LatticeStructure:
     pair_id[pair_t, pair_u] = np.arange(pair_t.size)
     pair_of_state = pair_id[t_all, u_all]
     members = t_all + u_all + d_all
-    rate_gather = np.empty(order.size, dtype=np.int64)
-    for k, kind in enumerate(_KINDS):
-        space = members if kind == "rk" else pair_of_state
-        rate_gather[slots[kind]] = k * pair_t.size + space[src[kind]]
+    # Each edge's source-vector index, permuted into CSR slot order
+    # exactly like ``indices``.
+    edge_source = [
+        k * pair_t.size + (members if kind == "rk" else pair_of_state)[src[kind]]
+        for k, kind in enumerate(_KINDS)
+    ]
+    rate_gather = np.concatenate(edge_source)[order]
 
     dag = batch_dag_structure(indptr, indices)
 
@@ -307,10 +291,6 @@ def _build_structure(n: int) -> LatticeStructure:
         pair_u,
         pair_of_state,
         rate_gather,
-        *masks.values(),
-        *src.values(),
-        *dst.values(),
-        *slots.values(),
         dag.slot_rows,
         dag.ell_cols,
         dag.ell_slots,
@@ -334,10 +314,6 @@ def _build_structure(n: int) -> LatticeStructure:
         c1_state=c1_state,
         c2_states=c2_states,
         depletion_states=depletion,
-        masks=masks,
-        src=src,
-        dst=dst,
-        slots=slots,
         indptr=indptr,
         indices=indices,
         dag=dag,
@@ -385,35 +361,6 @@ def lattice_structure(num_nodes: int) -> LatticeStructure:
         while len(_STRUCTURE_CACHE) > _STRUCTURE_CACHE_CAP:
             _STRUCTURE_CACHE.popitem(last=False)
     return structure
-
-
-def peek_structure_cache(num_nodes: int) -> Optional[LatticeStructure]:
-    """The cached structure for ``num_nodes``, or ``None`` (no build)."""
-    with _STRUCTURE_LOCK:
-        cached = _STRUCTURE_CACHE.get(int(num_nodes))
-        if cached is not None:
-            _STRUCTURE_CACHE.move_to_end(int(num_nodes))
-        return cached
-
-
-def seed_structure_cache(structure: LatticeStructure) -> None:
-    """Insert a pre-built structure into the process-wide cache.
-
-    Used by :mod:`repro.core.structshare` to hand pool workers a
-    structure attached from shared memory (or loaded from the on-disk
-    cache) instead of re-enumerating the lattice per process. A
-    structure already cached for the same ``N`` is left in place — the
-    arrays are immutable and equal, and the incumbent may already be
-    referenced by in-flight fills.
-    """
-    with _STRUCTURE_LOCK:
-        if structure.num_nodes in _STRUCTURE_CACHE:
-            _STRUCTURE_CACHE.move_to_end(structure.num_nodes)
-            return
-        _STRUCTURE_CACHE[structure.num_nodes] = structure
-        _STRUCTURE_CACHE.move_to_end(structure.num_nodes)
-        while len(_STRUCTURE_CACHE) > _STRUCTURE_CACHE_CAP:
-            _STRUCTURE_CACHE.popitem(last=False)
 
 
 def clear_structure_cache() -> None:

@@ -64,7 +64,6 @@ from .executor import (
     PointOutcome,
     ProcessPoolBackend,
     SerialBackend,
-    StructureShareConfig,
     ThreadPoolBackend,
     VectorBackend,
     available_cpus,
@@ -99,7 +98,6 @@ __all__ = [
     "ProcessPoolBackend",
     "ThreadPoolBackend",
     "VectorBackend",
-    "StructureShareConfig",
     "available_cpus",
     "make_backend",
     "EvalRequest",

@@ -35,12 +35,7 @@ from ..obs.runtime import record_batch_report
 from ..params import GCSParameters
 from ..validation import require_sorted_unique
 from .cache import CacheableResult, ResultCache
-from .executor import (
-    ExecutionBackend,
-    SerialBackend,
-    StructureShareConfig,
-    make_backend,
-)
+from .executor import ExecutionBackend, SerialBackend, make_backend
 from .keys import params_from_dict, scenario_fingerprint
 
 log = logging.getLogger(__name__)
@@ -575,7 +570,6 @@ def make_runner(
     cache_dir: "str | Path | None" = None,
     *,
     cache_cap_mb: Optional[float] = None,
-    structure_cache: "str | Path | None" = None,
 ) -> BatchRunner:
     """One-call runner factory shared by the CLI and the examples.
 
@@ -583,33 +577,16 @@ def make_runner(
     grammar (``N``, ``"auto"``, ``"thread[:N]"``; ``None`` = serial).
     ``cache_dir=None`` gives a memory-only cache; ``cache_cap_mb``
     bounds a persistent one (LRU-by-mtime disk eviction).
-
-    ``structure_cache`` controls the cross-worker
-    :class:`~repro.core.fastpath.LatticeStructure` sharing
-    (``--structure-cache``): a directory enables the on-disk ``.npz``
-    layer there, ``"off"`` disables sharing entirely (rebuild per
-    worker), and ``None`` defaults to shared memory plus — when
-    ``cache_dir`` is set — a ``structures/`` directory beneath it.
     """
     if cache_cap_mb is not None and cache_dir is None:
         raise ParameterError("cache_cap_mb requires cache_dir")
-    if isinstance(structure_cache, str) and structure_cache.lower() == "off":
-        share = StructureShareConfig.disabled()
-    elif structure_cache is not None:
-        share = StructureShareConfig(npz_dir=str(structure_cache))
-    elif cache_dir is not None:
-        share = StructureShareConfig(npz_dir=str(Path(cache_dir) / "structures"))
-    else:
-        share = StructureShareConfig()
     cache = ResultCache(
         cache_dir=Path(cache_dir) if cache_dir is not None else None,
         max_disk_bytes=int(cache_cap_mb * 1024 * 1024)
         if cache_cap_mb is not None
         else None,
     )
-    return BatchRunner(
-        cache=cache, backend=make_backend(jobs, structure_share=share)
-    )
+    return BatchRunner(cache=cache, backend=make_backend(jobs))
 
 
 # ---------------------------------------------------------------------------

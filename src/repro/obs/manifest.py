@@ -36,7 +36,6 @@ MANIFEST_SCHEMA_VERSION = 1
 _KERNEL_ENV_VARS = (
     "REPRO_KERNEL",
     "REPRO_FUSED_GATHER",
-    "REPRO_STRUCTURE_SHARE",
     "REPRO_TRANSIENT_BACKEND",
 )
 
@@ -62,8 +61,8 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
 
 
 def _env_flag_default_on(name: str) -> bool:
-    # Mirrors ``kernels.fused_gather_enabled`` / ``structshare`` exactly
-    # (obs stays import-light, so the resolution is duplicated here).
+    # Mirrors ``kernels.fused_gather_enabled`` exactly (obs stays
+    # import-light, so the resolution is duplicated here).
     return os.environ.get(name, "1").strip().lower() not in ("0", "off", "false")
 
 
@@ -94,11 +93,10 @@ def _resolved_transient_backend() -> str:
 
 
 def kernel_flags() -> Dict[str, object]:
-    """Raw and resolved kernel/feature switches (default: both on)."""
+    """Raw and resolved kernel/backend switches, plus the raw env."""
     return {
         "kernel": _resolved_kernel(),
         "fused_gather": _env_flag_default_on("REPRO_FUSED_GATHER"),
-        "structure_share": _env_flag_default_on("REPRO_STRUCTURE_SHARE"),
         "transient_backend": _resolved_transient_backend(),
         "env": {name: os.environ.get(name) for name in _KERNEL_ENV_VARS},
     }

@@ -98,6 +98,20 @@ class TestSweepCommand:
         assert "disk_evictions=0" in out
         assert "misses=2" in out
 
+    def test_cache_dir_holds_only_the_capped_result_store(self, tmp_path):
+        from repro.engine import SCHEMA_VERSION
+
+        # Everything a run leaves under --cache-dir must be inside the
+        # store --cache-cap-mb bounds; nothing may grow beside it.
+        cache = tmp_path / "cache"
+        code = main(
+            ["sweep", "--axis", "detection_interval_s=15,60", "--n", "12",
+             "--jobs", "vector", "--cache-dir", str(cache),
+             "--cache-cap-mb", "1"]
+        )
+        assert code == 0
+        assert [p.name for p in cache.iterdir()] == [f"v{SCHEMA_VERSION}"]
+
     def test_sweep_grid(self, capsys, tmp_path):
         code = main(
             ["sweep", "--axis", "detection_interval_s=15,60",

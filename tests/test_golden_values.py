@@ -3,7 +3,7 @@
 ``tests/golden/paper_points.json`` stores exact expectations for
 representative fig2–fig5 grid points (quick ``N = 40``) plus one
 survivability curve. Solver refactors — batched sweeps, fused kernels,
-structure-cache changes — must reproduce these to ``rtol = 1e-9``; a
+lattice-structure changes — must reproduce these to ``rtol = 1e-9``; a
 legitimate *model semantics* change must regenerate the file
 deliberately (see its ``description`` field) and bump
 ``repro.engine.keys.SCHEMA_VERSION`` so cached results invalidate with

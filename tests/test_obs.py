@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 
 import pytest
 
@@ -287,6 +288,9 @@ class TestCrossProcessMerge:
 
 #: Share of every ``vector.solve`` span its direct children must cover.
 MIN_CHILD_COVERAGE = 0.95
+#: The same for a pool worker's ``chunk.solve``; its first chunk also
+#: builds the lattice structure, as a direct child span.
+MIN_CHUNK_COVERAGE = 0.90
 
 
 def _child_coverage(records, parent_name: str) -> list[tuple[float, set]]:
@@ -306,35 +310,60 @@ def _child_coverage(records, parent_name: str) -> list[tuple[float, set]]:
     return coverage
 
 
+def _traced_quick_sweep(tmp_path, jobs: str):
+    """Span records of a traced N=40, 12-point CLI sweep."""
+    from repro.cli import main
+
+    trace = tmp_path / "trace.jsonl"
+    code = main(
+        [
+            "sweep",
+            "--axis",
+            "detection_interval_s=15,60,240,960",
+            "--axis",
+            "num_voters=3,5,7",
+            "--n",
+            "40",
+            "--jobs",
+            jobs,
+            "--trace",
+            str(trace),
+        ]
+    )
+    assert code == 0
+    with open(trace, encoding="utf-8") as fh:
+        return records_from_dicts(json.loads(line) for line in fh)
+
+
 class TestLayerCoverage:
     def test_traced_quick_sweep_has_no_dark_solve_time(self, tmp_path):
-        from repro.cli import main
-
-        trace = tmp_path / "trace.jsonl"
-        code = main(
-            [
-                "sweep",
-                "--axis",
-                "detection_interval_s=15,60,240,960",
-                "--axis",
-                "num_voters=3,5,7",
-                "--n",
-                "40",
-                "--jobs",
-                "vector",
-                "--trace",
-                str(trace),
-            ]
-        )
-        assert code == 0
-        with open(trace, encoding="utf-8") as fh:
-            records = records_from_dicts(json.loads(line) for line in fh)
+        records = _traced_quick_sweep(tmp_path, "vector")
         coverage = _child_coverage(records, "vector.solve")
         assert coverage, "no vector.solve span recorded"
         for covered, names in coverage:
             assert {"prepare.rates", "prepare.costs", "solve.mean"} <= names
             assert "package" in names
             assert covered >= MIN_CHILD_COVERAGE, (covered, names)
+
+    def test_pool_chunks_have_no_dark_solve_time(self, tmp_path):
+        from repro.core.fastpath import clear_structure_cache
+
+        # Forked workers inherit the parent's structure cache; start
+        # empty so every worker has to build its own.
+        clear_structure_cache()
+        records = _traced_quick_sweep(tmp_path, "vector:2")
+        coverage = _child_coverage(records, "chunk.solve")
+        assert coverage, "no chunk.solve span recorded"
+        for covered, names in coverage:
+            assert {"prepare.rates", "prepare.costs", "solve.mean"} <= names
+            assert "package" in names
+            assert covered >= MIN_CHUNK_COVERAGE, (covered, names)
+        chunk_pids = {r.pid for r in records if r.name == "chunk.solve"}
+        builds = Counter(
+            r.pid for r in records if r.name == "fastpath.build_structure"
+        )
+        assert os.getpid() not in chunk_pids
+        assert builds == {pid: 1 for pid in chunk_pids}
 
     @pytest.mark.parametrize("kind", ["variance", "survivability"])
     def test_variance_and_survivability_solves_are_attributed(self, kind):
@@ -428,11 +457,12 @@ class TestManifest:
 
     def test_kernel_flags_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_FUSED_GATHER", raising=False)
-        monkeypatch.setenv("REPRO_STRUCTURE_SHARE", "off")
+        assert kernel_flags()["fused_gather"] is True
+        monkeypatch.setenv("REPRO_FUSED_GATHER", "off")
         flags = kernel_flags()
-        assert flags["fused_gather"] is True
-        assert flags["structure_share"] is False
-        assert flags["env"]["REPRO_STRUCTURE_SHARE"] == "off"
+        assert flags["fused_gather"] is False
+        assert flags["env"]["REPRO_FUSED_GATHER"] == "off"
+        assert list(flags) == ["kernel", "fused_gather", "transient_backend", "env"]
 
     def test_params_digest_is_order_independent(self):
         assert params_digest(["b", "a"]) == params_digest(["a", "b"])

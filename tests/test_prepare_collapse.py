@@ -6,9 +6,12 @@ formulas once per ``(t, u)`` pair (``rk`` once per member count
 :func:`repro.core.fastpath.lattice_state_costs` runs the cost model on
 the pairs and gathers back to states. Both must be **byte for byte**
 what evaluating every lattice state gives: the reference below is the
-full-lattice fill as it stood before the collapse, and the cost
-reference is ``cost_vector`` over the state arrays themselves.
+full-lattice fill as it stood before the collapse, with its own copy of
+the guard block, and the cost reference is ``cost_vector`` over the
+state arrays themselves.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,6 +32,42 @@ from repro.detection.functions import vector_shape_factor
 from repro.params import GCSParameters
 
 FORMS = ("logarithmic", "linear", "polynomial")
+
+
+def _guard_masks_and_slots(structure):
+    """Per kind: the guard mask over lattice states and the CSR slot of
+    each enabled transition, located in the structure's sparsity pattern.
+    """
+    n, ns = structure.num_nodes, structure.num_states
+    t, u, d = structure.t, structure.u, structure.d
+    sid = structure.state_id
+    active = ~((u > 0) & (2 * u > t))
+    masks = {
+        "cp": active & (t > 0),
+        "drq": active & (u > 0),
+        "ids": active & (u > 0),
+        "fa": active & (t > 0),
+        "rk": active & (d > 0),
+    }
+    dst = {
+        "cp": sid[t - 1, np.minimum(u + 1, n), d],
+        "drq": np.full(t.size, structure.c1_state, dtype=np.int64),
+        "ids": sid[t, np.maximum(u - 1, 0), np.minimum(d + 1, n)],
+        "fa": sid[np.maximum(t - 1, 0), u, np.minimum(d + 1, n)],
+        "rk": sid[t, u, np.maximum(d - 1, 0)],
+    }
+    # (row, col) keys ascend along a column-sorted CSR pattern.
+    rows = np.repeat(np.arange(ns), np.diff(structure.indptr))
+    keys = rows * ns + structure.indices
+    slots = {}
+    for kind in _KINDS:
+        want = sid[t, u, d][masks[kind]] * ns + dst[kind][masks[kind]]
+        slots[kind] = np.searchsorted(keys, want)
+        assert np.array_equal(keys[slots[kind]], want), kind
+    # Every pattern slot is exactly one guard-enabled transition.
+    covered = np.sort(np.concatenate(list(slots.values())))
+    assert np.array_equal(covered, np.arange(structure.nnz))
+    return masks, slots
 
 
 def _full_lattice_fill(structure, rates):
@@ -76,9 +115,10 @@ def _full_lattice_fill(structure, rates):
         "fa": t_all * d_rate * pfp,
         "rk": rk_rate,
     }
+    masks, slots = _guard_masks_and_slots(structure)
     values = np.zeros(structure.nnz, dtype=float)
     for kind in _KINDS:
-        values[structure.slots[kind]] = per_state[kind][structure.masks[kind]]
+        values[slots[kind]] = per_state[kind][masks[kind]]
     return values
 
 
@@ -135,6 +175,21 @@ def test_collapsed_costs_are_byte_identical(params):
         assert parts[name].tobytes() == vec.tobytes(), name
 
 
+def _held_arrays(obj, prefix=""):
+    """Every array a (nested) structure dataclass holds, by dotted name."""
+    held = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        name = prefix + field.name
+        if isinstance(value, np.ndarray):
+            held[name] = value
+        elif isinstance(value, list):
+            held.update({f"{name}[{i}]": arr for i, arr in enumerate(value)})
+        elif dataclasses.is_dataclass(value):
+            held.update(_held_arrays(value, name + "."))
+    return held
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_index_space_invariants(n):
     s = lattice_structure(n)
@@ -147,10 +202,27 @@ def test_index_space_invariants(n):
     assert s.rate_gather.shape == (s.nnz,)
     assert 0 <= s.rate_gather.min()
     assert s.rate_gather.max() < 4 * s.pair_t.size + n + 1
-    for arr in (s.pair_t, s.pair_u, s.pair_of_state, s.rate_gather):
-        assert not arr.flags.writeable
+    # Every array the structure holds is frozen: the instance is shared
+    # process-wide, so a write must fail rather than poison later points.
+    held = _held_arrays(s)
+    dag = (
+        "indptr indices slot_rows ell_cols ell_slots ell_pad "
+        "lvl_rows lvl_row_bounds lvl_ell_slots lvl_ell_cols"
+    ).split()
+    assert set(held) >= {
+        *"t u d state_id c2_states depletion_states indptr indices".split(),
+        *"pair_t pair_u pair_of_state rate_gather".split(),
+        *(f"dag.{name}" for name in dag),
+        "dag.structure.levels",
+        *(
+            f"dag.structure.level_states[{i}]"
+            for i in range(len(s.dag.structure.level_states))
+        ),
+    }
+    for name, arr in held.items():
+        assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
-            arr[0] = 0
+            arr[...] = 0
 
 
 def test_index_space_sizes_at_paper_scale():
