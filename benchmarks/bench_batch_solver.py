@@ -13,7 +13,7 @@ unique after dedup) through the engine in up to four configurations:
   pre-fusion level-loop kernel;
 * **batched, fused kernel** (``REPRO_KERNEL=fused``) — the fused
   gather: sentinel-slot value gather, level-ordered contiguous views,
-  fast zero-pattern grouping;
+  explicit zeros re-summed row by row;
 * **batched, numba kernel** (``REPRO_KERNEL=numba``) — the jitted
   single-pass sweep, parallelised over points. Run only when numba
   imports; the skip is *printed*, never silent.

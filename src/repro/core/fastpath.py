@@ -16,9 +16,15 @@ rate-free quantity:
 * :class:`LatticeStructure` — the rate-free skeleton keyed by ``N``
   alone: state enumeration, ``state_id`` lookup, the canonical CSR
   sparsity pattern of every guard-enabled transition, the small index
-  spaces the per-point stages run on, and the topological level
-  schedule (:class:`repro.ctmc.acyclic.BatchDagStructure`). Cached per
-  process via :func:`lattice_structure`.
+  spaces the per-point stages run on, and the *solve space* the batched
+  solvers run in: the states reachable from the initial marking
+  (``solve_states``) with the topological level schedule of the pattern
+  restricted to them (:class:`repro.ctmc.acyclic.BatchDagStructure`).
+  Every metric is read from the initial marking, and the states outside
+  the solve space — Byzantine-failure markings no live marking enters,
+  58–63% of the lattice — hold probability 0 at all times and feed no
+  reachable state, so leaving them out changes no solved value. Cached
+  per process via :func:`lattice_structure`.
 * :func:`fill_transition_rates` — the cheap per-point stage. No rate
   formula needs the full ``(t, u, d)`` state: ``cp``/``drq``/``ids``/
   ``fa`` depend on ``(t, u)`` alone and ``rk`` on ``t + u + d`` alone.
@@ -111,7 +117,7 @@ class LatticeChain:
     def absorbing_classes(self) -> dict[str, list[int]]:
         """Failure classes keyed as the metrics pipeline expects."""
         return _absorbing_class_map(
-            self.c1_state, self.c2_states, self.depletion_states
+            np.array([self.c1_state]), self.c2_states, self.depletion_states
         )
 
 
@@ -122,7 +128,8 @@ class LatticeStructure:
     Everything here is a pure function of ``num_nodes``: which markings
     exist, which transitions are guard-enabled between them, where each
     transition lands in the canonical (column-sorted CSR) sparsity
-    pattern, and the topological level schedule of the structural DAG.
+    pattern, which states the initial marking can reach, and the
+    topological level schedule of the structural DAG on those states.
     One instance is shared by every scenario of the same ``N`` — the
     whole point of the split.
     """
@@ -140,7 +147,14 @@ class LatticeStructure:
     #: Shared CSR sparsity pattern (column-sorted within rows).
     indptr: np.ndarray
     indices: np.ndarray
-    #: Level schedule + padded gather plan of the structural DAG.
+    #: The solve space: sorted ids of the states reachable from
+    #: ``initial_state``. Every CSR edge starts and ends inside it, so
+    #: every state outside has out-degree 0.
+    solve_states: np.ndarray
+    #: Level schedule + padded gather plan of the pattern restricted to
+    #: the solve space, states renumbered by position in
+    #: ``solve_states``. The renumbering keeps every CSR slot and its
+    #: column order, so a fill's ``values`` feed it unchanged.
     dag: BatchDagStructure
     #: The distinct ``(t, u)`` pairs, and each lattice state's pair
     #: (``pair_t[pair_of_state] == t``, likewise for ``u``).
@@ -165,15 +179,32 @@ class LatticeStructure:
     def nnz(self) -> int:
         return self.indices.size
 
-    def absorbing_classes(self) -> dict[str, list[int]]:
-        """Failure classes keyed as the metrics pipeline expects."""
+    @property
+    def solve_initial(self) -> int:
+        """Position of ``initial_state`` in the solve space."""
+        return int(np.searchsorted(self.solve_states, self.initial_state))
+
+    def solve_classes(self) -> dict[str, list[int]]:
+        """Failure classes on the solve space, keyed like the chain's.
+
+        Each class keeps the members inside the solve space, numbered by
+        position in ``solve_states``. C1 is empty for ``N <= 2``, where
+        no trajectory reaches it.
+        """
         return _absorbing_class_map(
-            self.c1_state, self.c2_states, self.depletion_states
+            self._solve_positions(np.array([self.c1_state])),
+            self._solve_positions(self.c2_states),
+            self._solve_positions(self.depletion_states),
         )
+
+    def _solve_positions(self, states: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self.solve_states, states)
+        pos = np.minimum(pos, self.solve_states.size - 1)
+        return pos[self.solve_states[pos] == states]
 
 
 def _absorbing_class_map(
-    c1_state: int, c2_states: np.ndarray, depletion_states: np.ndarray
+    c1_states: np.ndarray, c2_states: np.ndarray, depletion_states: np.ndarray
 ) -> dict[str, list[int]]:
     """The one definition of the failure-class → state mapping.
 
@@ -182,7 +213,7 @@ def _absorbing_class_map(
     names or membership.
     """
     return {
-        "c1_data_leak": [c1_state],
+        "c1_data_leak": c1_states.tolist(),
         "c2_byzantine": c2_states.tolist(),
         "depletion": depletion_states.tolist(),
     }
@@ -269,7 +300,28 @@ def _build_structure(n: int) -> LatticeStructure:
     ]
     rate_gather = np.concatenate(edge_source)[order]
 
-    dag = batch_dag_structure(indptr, indices)
+    # ---- solve space: the states reachable from the initial marking ---
+    # Imported here: a module-level csgraph import would move scipy's
+    # first import into `import repro.cli`.
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order
+
+    initial_state = int(state_id[n, 0, 0])
+    pattern = sp.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(num_states, num_states)
+    )
+    reached = breadth_first_order(pattern, initial_state, return_predecessors=False)
+    solve_states = np.sort(reached).astype(np.int64)
+    inside = np.zeros(num_states, dtype=bool)
+    inside[solve_states] = True
+    if not (inside[rows_all].all() and inside[indices].all()):
+        raise ModelError("a lattice edge touches a state outside the solve space")
+    # Rows outside are empty, so the restricted pattern keeps every slot;
+    # the order-preserving renumbering keeps each row's column order.
+    solve_of_state = np.cumsum(inside) - 1
+    dag = batch_dag_structure(
+        np.concatenate([[0], indptr[solve_states + 1]]), solve_of_state[indices]
+    )
 
     depletion = np.flatnonzero((t_all == 0) & (u_all == 0) & (d_all == 0))
     c2_states = np.flatnonzero(failed_c2)
@@ -291,6 +343,9 @@ def _build_structure(n: int) -> LatticeStructure:
         pair_u,
         pair_of_state,
         rate_gather,
+        solve_states,
+        dag.indptr,
+        dag.indices,
         dag.slot_rows,
         dag.ell_cols,
         dag.ell_slots,
@@ -310,12 +365,13 @@ def _build_structure(n: int) -> LatticeStructure:
         u=u_all,
         d=d_all,
         state_id=state_id,
-        initial_state=int(state_id[n, 0, 0]),
+        initial_state=initial_state,
         c1_state=c1_state,
         c2_states=c2_states,
         depletion_states=depletion,
         indptr=indptr,
         indices=indices,
+        solve_states=solve_states,
         dag=dag,
         pair_t=pair_t,
         pair_u=pair_u,

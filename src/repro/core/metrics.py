@@ -16,7 +16,9 @@ batch path reuses one cached :class:`~repro.core.fastpath.LatticeStructure`
 per group size and runs a single multi-point level-scheduled backward
 sweep (:func:`repro.ctmc.acyclic.solve_dag_batch`) over stacked
 ``(P, nnz)`` rate arrays — bit-identical per-point results, one shared
-pass instead of ``P`` rebuilds.
+pass instead of ``P`` rebuilds. The batched solvers run in the
+structure's *solve space*, the states reachable from the initial
+marking; the per-point paths keep the full lattice and are the oracle.
 
 :func:`evaluate_survivability` / :func:`evaluate_survivability_batch`
 are the *transient* counterparts: instead of steady-state absorption
@@ -426,7 +428,12 @@ def _as_pair(
 
 @dataclass
 class _PreparedPoint:
-    """One grid point's rate fill + rewards, ready for the shared sweep."""
+    """One grid point's rate fill + rewards, ready for the shared sweep.
+
+    ``values`` is the fill on the full CSR pattern (which the solve
+    space keeps slot for slot); ``reward_columns`` are already gathered
+    onto ``structure.solve_states``.
+    """
 
     index: int
     params: GCSParameters
@@ -463,22 +470,23 @@ def _prepare_point(
         costs = lattice_state_costs(
             structure, cost_model, per_component=include_breakdown
         )
-        # Reward columns exactly as the per-point path assembles them:
-        # the C1 state accrues nothing, and with a breakdown the total
-        # is its own solved column (not the sum of the component
-        # solutions).
+        # Reward columns exactly as the per-point path assembles them,
+        # restricted to the solve space: the C1 state accrues nothing,
+        # and with a breakdown the total is its own solved column (not
+        # the sum of the component solutions).
+        solve_states = structure.solve_states
         reward_columns: list[np.ndarray] = []
         breakdown_names: Optional[list[str]] = None
         if include_breakdown:
             breakdown_names = list(costs)
-            total = np.zeros(structure.num_states)
+            total = np.zeros(solve_states.size)
             for vec in costs.values():
-                padded = np.append(vec, 0.0)
-                reward_columns.append(padded)
-                total += padded
+                column = np.append(vec, 0.0)[solve_states]
+                reward_columns.append(column)
+                total += column
             reward_columns.append(total)
         else:
-            reward_columns.append(np.append(costs, 0.0))
+            reward_columns.append(np.append(costs, 0.0)[solve_states])
     with span("prepare.rates"):
         rates = GCSRates.from_scenario(params, net, expected_groups=bd.mean_level())
         fill = fill_transition_rates(structure, rates)
@@ -498,11 +506,14 @@ def _chunk_size(structure, n_columns: int, max_batch_bytes: int) -> int:
 
     Bounds the whole pipeline, not just the sweep: points are prepared
     (rate fill + reward columns), solved and packaged chunk by chunk.
+    Everything but the rate fill is sized by the solve space
+    (``structure.dag``), not the full lattice.
     """
-    n = structure.num_states
-    # vals + ELL gather (~nnz each) + numerators, x, second-moment
-    # scratch (~n·k each); 8 bytes per float.
-    per_point = 8 * (2 * structure.nnz + n * (2 * n_columns + 4))
+    dag = structure.dag
+    # vals + ELL gather (~nnz each), numerators and x (~n·k each), the
+    # k − 4 reward columns and the second-moment scratch (~n·k
+    # together); 8 bytes per float.
+    per_point = 8 * (2 * dag.nnz + dag.num_states * 3 * n_columns)
     return max(1, max_batch_bytes // max(per_point, 1))
 
 
@@ -513,10 +524,14 @@ def _solve_prepared(
     include_variance: bool,
     kernel: Optional[str] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray], float]:
-    """Run the shared backward sweep for one chunk of prepared points."""
+    """Run the shared backward sweep for one chunk of prepared points.
+
+    The sweep runs in the structure's solve space: numerator and
+    boundary rows exist only for ``structure.solve_states``.
+    """
     t0 = time.perf_counter()
     P = len(prepared)
-    n = structure.num_states
+    n = structure.dag.num_states
     n_rewards = len(prepared[0].reward_columns)
     k = 1 + n_rewards + 3
 
@@ -527,10 +542,11 @@ def _solve_prepared(
             for c, column in enumerate(point.reward_columns, start=1):
                 numer[j, :, c] = column
 
+        classes = structure.solve_classes()
         boundary = np.zeros((n, k))
-        boundary[structure.c1_state, 1 + n_rewards] = 1.0
-        boundary[structure.c2_states, 2 + n_rewards] = 1.0
-        boundary[structure.depletion_states, 3 + n_rewards] = 1.0
+        boundary[classes["c1_data_leak"], 1 + n_rewards] = 1.0
+        boundary[classes["c2_byzantine"], 2 + n_rewards] = 1.0
+        boundary[classes["depletion"], 3 + n_rewards] = 1.0
 
         values = np.stack([point.values for point in prepared])
         x = solve_dag_batch(structure.dag, values, numer, boundary, kernel=kernel)
@@ -553,7 +569,7 @@ def _package_point(
     solve_seconds: float,
 ) -> GCSResult:
     """Mirror of :meth:`GCSEvaluation._package` for one solved column set."""
-    init = structure.initial_state
+    init = structure.solve_initial
     n_rewards = len(point.reward_columns)
     mttsf = float(x[init, 0])
     if mttsf <= 0.0:
@@ -826,11 +842,13 @@ def _survivability_chunk_size(
 
     Per point the batched uniformization holds the rate fill, the
     column-sorted gather copy and the per-step contribution (~nnz
-    each) plus the accumulator, power vector and out-rate/diagonal
-    rows (~n each); 8 bytes per float.
+    each) plus the accumulator, power vector, out-rate/diagonal rows
+    and reward column (~n each); 8 bytes per float. All of them but
+    the rate fill live in the solve space (``structure.dag``), so that
+    is what sizes them.
     """
-    n = structure.num_states
-    per_point = 8 * (3 * structure.nnz + n * (n_times + 4))
+    dag = structure.dag
+    per_point = 8 * (3 * dag.nnz + dag.num_states * (n_times + 4))
     return max(1, max_batch_bytes // max(per_point, 1))
 
 
@@ -843,12 +861,16 @@ def _package_survivability(
     absorbing_mask: np.ndarray,
     solve_seconds: float,
 ) -> SurvivabilityResult:
-    """One batched point's curves, packaged as :func:`evaluate_survivability`."""
+    """One batched point's curves, packaged as :func:`evaluate_survivability`.
+
+    ``dist``, ``class_members``, ``absorbing_mask`` and the point's cost
+    column are all on the solve space.
+    """
     survival, cdf, cost_rate, bounded = _survivability_curves(
         dist,
         times,
         point.reward_columns[0],
-        structure.initial_state,
+        structure.solve_initial,
         class_members,
         absorbing_mask,
     )
@@ -912,7 +934,7 @@ def evaluate_survivability_batch_outcomes(
 
     for num_nodes, group in by_nodes.items():
         structure = lattice_structure(num_nodes)
-        class_members = structure.absorbing_classes()
+        class_members = structure.solve_classes()
         chunk = _survivability_chunk_size(structure, len(times), max_batch_bytes)
         for start in range(0, len(group), chunk):
             prepared: list[_PreparedPoint] = []
@@ -938,11 +960,11 @@ def evaluate_survivability_batch_outcomes(
                 with span("solve.transient", points=len(prepared)):
                     values = np.stack([point.values for point in prepared])
                     dist = transient_distribution_batch(
-                        structure.indptr,
-                        structure.indices,
+                        structure.dag.indptr,
+                        structure.dag.indices,
                         values,
                         np.asarray(times),
-                        structure.initial_state,
+                        structure.solve_initial,
                         eps=eps,
                         kernel=kernel,
                         backend=transient_backend,
@@ -955,7 +977,7 @@ def evaluate_survivability_batch_outcomes(
                 continue
             share = (time.perf_counter() - t0) / len(prepared)
             with span("package", points=len(prepared)):
-                q = csr_row_sums(structure.indptr, values)
+                q = csr_row_sums(structure.dag.indptr, values)
                 for j, point in enumerate(prepared):
                     try:
                         outcomes[point.index] = (

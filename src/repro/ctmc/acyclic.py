@@ -308,47 +308,19 @@ def batch_dag_structure(
     )
 
 
-def _group_zero_patterns(
-    masks: np.ndarray, *, fast: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group boolean rows by identical pattern: ``(patterns, inverse)``.
-
-    ``fast`` hashes each row's raw bytes into a dict — O(P · nnz) with
-    tiny constants. The legacy path is ``np.unique(axis=0)``, which
-    builds a structured dtype with one *field per slot* and is
-    catastrophically slow at lattice sizes (seconds at ``nnz ≈ 3·10⁵``);
-    it is kept only so ``REPRO_FUSED_GATHER=0`` reproduces the
-    pre-fusion baseline. Both return the same groups (grouping is a
-    vectorisation detail; the per-group arithmetic is identical), only
-    the pattern *order* may differ.
-    """
-    if not fast:
-        return np.unique(masks, axis=0, return_inverse=True)
-    groups: dict[bytes, int] = {}
-    inverse = np.empty(masks.shape[0], dtype=np.int64)
-    representatives: list[int] = []
-    for i, row in enumerate(np.ascontiguousarray(masks)):
-        key = row.tobytes()
-        g = groups.setdefault(key, len(representatives))
-        if g == len(representatives):
-            representatives.append(i)
-        inverse[i] = g
-    return masks[representatives], inverse
-
-
-def _row_sums(
-    shared: BatchDagStructure, values: np.ndarray, *, fast_grouping: bool = False
-) -> np.ndarray:
+def _row_sums(shared: BatchDagStructure, values: np.ndarray) -> np.ndarray:
     """Per-point out-rates, bit-identical to scipy's on the pruned chain.
 
     scipy's CSR ``sum(axis=1)`` reduces each row's data with
     ``np.add.reduceat`` — *pairwise* grouping over exactly the stored
     (nonzero) entries — while its matvec accumulates sequentially. The
     backward sweep must therefore compute ``q`` with the same reduceat
-    over the same element multiset: a plain reduceat over the shared
-    pattern when a point stores no explicit zeros, and a reduceat over
-    the zero-pruned copy when it does (an inserted ``0.0`` changes the
-    pairwise grouping, unlike in a sequential sum).
+    over the same element multiset: one reduceat over the shared
+    pattern for every point, then, for each point, a reduceat over the
+    nonzero slots of just the rows where that point stores an explicit
+    zero (an inserted ``0.0`` changes the pairwise grouping, unlike in a
+    sequential sum). All affected ``(point, row)`` pairs are re-summed
+    in one ragged gather and one reduceat.
     """
     P, n = values.shape[0], shared.num_states
     q = np.zeros((P, n))
@@ -356,20 +328,51 @@ def _row_sums(
         return q
     deg = np.diff(shared.indptr)
     nonempty = deg > 0
-    starts = shared.indptr[:-1][nonempty]
-    if starts.size:
-        q[:, nonempty] = np.add.reduceat(values, starts, axis=1)
+    q[:, nonempty] = np.add.reduceat(values, shared.indptr[:-1][nonempty], axis=1)
+    zeros = np.flatnonzero(values == 0.0)  # p * nnz + slot
+    if zeros.size == 0:
+        return q
+    zero_points, zero_slots = np.divmod(zeros, shared.nnz)
+    pairs = np.unique(zero_points * n + shared.slot_rows[zero_slots])
+    points, rows = np.divmod(pairs, n)
+    # Ragged gather of every slot of the affected rows, point by point.
+    lens = deg[rows]
+    offsets = np.repeat(np.cumsum(lens) - lens, lens)
+    slots = np.repeat(shared.indptr[rows], lens) + (np.arange(lens.sum()) - offsets)
+    gathered = values[np.repeat(points, lens), slots]
+    keep = gathered != 0.0
+    kept_lens = np.bincount(
+        np.repeat(np.arange(pairs.size), lens)[keep], minlength=pairs.size
+    )
+    sums = np.zeros(pairs.size)
+    stored = kept_lens > 0  # an all-zero row sums to exactly 0.0
+    if stored.any():
+        starts = (np.cumsum(kept_lens) - kept_lens)[stored]
+        sums[stored] = np.add.reduceat(gathered[keep], starts)
+    q[points, rows] = sums
+    return q
+
+
+def _row_sums_legacy(shared: BatchDagStructure, values: np.ndarray) -> np.ndarray:
+    """The pre-fusion kernel's out-rates, equal to :func:`_row_sums`.
+
+    Points holding explicit zeros are grouped by identical zero pattern
+    with ``np.unique(axis=0)`` — a structured dtype with one field per
+    CSR slot, seconds at lattice sizes — and each group re-reduces a
+    zero-pruned copy of every slot. Kept only so the ``numpy`` tier
+    stays the pre-fusion A/B baseline; it goes with that tier.
+    """
+    P, n = values.shape[0], shared.num_states
+    q = np.zeros((P, n))
+    if shared.nnz == 0:
+        return q
+    nonempty = np.diff(shared.indptr) > 0
+    q[:, nonempty] = np.add.reduceat(values, shared.indptr[:-1][nonempty], axis=1)
     zero_points = np.flatnonzero(~np.all(values != 0.0, axis=1))
     if zero_points.size == 0:
         return q
-    # Zero-containing points, grouped by identical zero pattern: a
-    # sweep that zeroes a rate usually zeroes it at the *same* slots
-    # for every grid point (e.g. host_false_positive = 0 kills every
-    # false-accusation edge), so one stacked reduceat per distinct
-    # pattern keeps the correction vectorised across points instead of
-    # degrading to a per-point Python loop.
     masks = values[zero_points] != 0.0
-    patterns, inverse = _group_zero_patterns(masks, fast=fast_grouping)
+    patterns, inverse = np.unique(masks, axis=0, return_inverse=True)
     for g in range(patterns.shape[0]):
         keep = patterns[g]
         points = zero_points[inverse == g]
@@ -498,7 +501,7 @@ def _solve_dag_batch_legacy(
     else:
         ell_vals = np.where(shared.ell_pad, 0.0, values[:, shared.ell_slots])
 
-    q = _row_sums(shared, values)
+    q = _row_sums_legacy(shared, values)
 
     absorbing = q == 0.0
     x = np.where(absorbing[:, :, None], boundary, 0.0)
@@ -548,7 +551,7 @@ def _solve_dag_batch_fused(
     """
     P, n, k = numerators.shape
 
-    q = _row_sums(shared, values, fast_grouping=True)
+    q = _row_sums(shared, values)
     absorbing = q == 0.0
     struct_abs = shared.structure.levels == 0
     uniform = bool(np.array_equal(absorbing, np.broadcast_to(struct_abs, (P, n))))
@@ -608,7 +611,7 @@ def _solve_dag_batch_numba(
 
     P, n, k = numerators.shape
 
-    q = _row_sums(shared, values, fast_grouping=True)
+    q = _row_sums(shared, values)
     absorbing = q == 0.0
     struct_abs = shared.structure.levels == 0
     uniform = bool(np.array_equal(absorbing, np.broadcast_to(struct_abs, (P, n))))

@@ -574,7 +574,9 @@ def transient_distribution_batch(
 
     # Per-(point, time) truncated Poisson windows, padded per time point
     # into one (P, window) weight block so step k accumulates with a
-    # single vectorised multiply per active time.
+    # single vectorised multiply per active time. Points of a sweep
+    # often share Λ, so each distinct Λ_p·t is computed once.
+    poisson: dict[float, tuple[int, int, np.ndarray]] = {}
     windows: list[tuple[int, int, np.ndarray]] = []
     for ti in range(num_times):
         if ts[ti] == 0.0:
@@ -584,7 +586,10 @@ def transient_distribution_batch(
         rights = np.empty(num_points, dtype=np.int64)
         weights: list[np.ndarray] = []
         for p in range(num_points):
-            left, right, w = poisson_weights(float(lam[p] * ts[ti]), eps)
+            mean = float(lam[p] * ts[ti])
+            if mean not in poisson:
+                poisson[mean] = poisson_weights(mean, eps)
+            left, right, w = poisson[mean]
             lefts[p], rights[p] = left, right
             weights.append(w)
         lo, hi = int(lefts.min()), int(rights.max())

@@ -31,6 +31,8 @@ from repro.core.metrics import (
 from repro.core.optimizer import optimize_tids, tradeoff_curve
 from repro.core.rates import GCSRates
 from repro.ctmc.acyclic import (
+    _row_sums,
+    _row_sums_legacy,
     batch_dag_structure,
     fused_gather_enabled,
     solve_dag,
@@ -150,6 +152,41 @@ class TestSolveDagBatch:
         )
         assert np.array_equal(x[:, 0], x_p[:, 0])
 
+    def test_row_sums_match_pruned_out_rates(self):
+        # The batched out-rates, shared and pre-fusion, must equal
+        # scipy's row sums over the zero-pruned chain exactly, including
+        # rows wider than numpy's 8-way pairwise block and zeros in a
+        # row's first slot.
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(29)
+        widest, first_slot_zeros = 0, 0
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            transitions = []
+            for src in range(1, n):
+                width = int(rng.integers(0, min(src, 26) + 1))
+                for dst in rng.choice(src, size=width, replace=False):
+                    transitions.append((src, int(dst), float(rng.uniform(0.1, 5.0))))
+            R = CTMC.from_transitions(n, transitions).rates
+            shared = batch_dag_structure(R.indptr, R.indices)
+            values = np.stack([R.data * s for s in rng.uniform(0.5, 2.0, size=3)])
+            values[rng.random(values.shape) < 0.2] = 0.0
+            q = _row_sums(shared, values)
+            assert q.tobytes() == _row_sums_legacy(shared, values).tobytes()
+            for p in range(values.shape[0]):
+                pruned = CTMC(
+                    sp.csr_matrix(
+                        (values[p], R.indices.copy(), R.indptr.copy()), shape=R.shape
+                    )
+                )
+                assert q[p].tobytes() == pruned.out_rates.tobytes()
+            deg = np.diff(R.indptr)
+            widest = max(widest, int(deg.max()))
+            firsts = R.indptr[:-1][deg > 0]
+            first_slot_zeros += int((values[:, firsts] == 0.0).sum())
+        assert widest > 8 and first_slot_zeros > 0
+
     def test_cyclic_pattern_rejected(self):
         cyclic = CTMC.from_transitions(2, [(0, 1, 1.0), (1, 0, 1.0)])
         R = cyclic.rates
@@ -195,10 +232,10 @@ class TestFusedGatherKernel:
     def test_fused_bit_identical_on_paper_grids(self, grid):
         scenarios = _fig2_scenarios() if grid == "fig2" else _fig4_scenarios()
         structure, values = self._lattice_fills(scenarios)
-        n = structure.num_states
+        n = structure.solve_states.size
         numer = np.ones((len(scenarios), n, 1))
         boundary = np.zeros((n, 1))
-        boundary[structure.c1_state, 0] = 1.0
+        boundary[structure.solve_classes()["c1_data_leak"], 0] = 1.0
         x_legacy = solve_dag_batch(
             structure.dag, values, numer, boundary, fused=False
         )
@@ -244,6 +281,36 @@ class TestFusedGatherKernel:
         assert fused_gather_enabled()
         monkeypatch.delenv("REPRO_FUSED_GATHER")
         assert fused_gather_enabled()
+
+    @pytest.mark.parametrize("variance", [False, True])
+    @pytest.mark.parametrize("grid", ["fig2", "fig4"])
+    def test_solve_space_sweep_matches_full_lattice(self, grid, variance):
+        # The solve space drops only states no trajectory from the
+        # initial marking enters; at every state it keeps, the sweep
+        # must equal the full-lattice sweep byte for byte.
+        scenarios = _fig2_scenarios() if grid == "fig2" else _fig4_scenarios()
+        structure, values = self._lattice_fills(scenarios)
+        full = batch_dag_structure(structure.indptr, structure.indices)
+        solve = structure.solve_states
+        P, n = len(scenarios), structure.num_states
+        rng = np.random.default_rng(31)
+        numer = np.ones((P, n, 5))
+        numer[:, :, 1] = rng.uniform(0.0, 1e6, size=(P, n))
+        boundary = np.zeros((n, 5))
+        boundary[structure.c1_state, 2] = 1.0
+        boundary[structure.c2_states, 3] = 1.0
+        boundary[structure.depletion_states, 4] = 1.0
+        x_full = solve_dag_batch(full, values, numer, boundary)
+        x = solve_dag_batch(structure.dag, values, numer[:, solve], boundary[solve])
+        assert x.tobytes() == x_full[:, solve].tobytes()
+        if variance:
+            m2_full = solve_dag_batch(
+                full, values, 2.0 * x_full[:, :, :1], np.zeros((n, 1))
+            )
+            m2 = solve_dag_batch(
+                structure.dag, values, 2.0 * x[:, :, :1], np.zeros((solve.size, 1))
+            )
+            assert m2.tobytes() == m2_full[:, solve].tobytes()
 
     def test_evaluate_batch_identical_under_both_kernels(self, monkeypatch):
         scenarios = _fig2_scenarios()[:6]

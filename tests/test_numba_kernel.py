@@ -278,10 +278,10 @@ class TestNumbaBitIdentity:
     def test_dag_sweep_bit_identical_on_paper_grids(self, grid):
         scenarios = _fig2_scenarios() if grid == "fig2" else _fig4_scenarios()
         structure, values = _lattice_fills(scenarios)
-        n = structure.num_states
+        n = structure.solve_states.size
         numer = np.ones((len(scenarios), n, 1))
         boundary = np.zeros((n, 1))
-        boundary[structure.c1_state, 0] = 1.0
+        boundary[structure.solve_classes()["c1_data_leak"], 0] = 1.0
         fused = solve_dag_batch(
             structure.dag, values, numer, boundary, kernel="fused"
         )

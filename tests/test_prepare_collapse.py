@@ -9,6 +9,11 @@ what evaluating every lattice state gives: the reference below is the
 full-lattice fill as it stood before the collapse, with its own copy of
 the guard block, and the cost reference is ``cost_vector`` over the
 state arrays themselves.
+
+The structure's index spaces are pinned too, including the solve space
+(the states reachable from the initial marking, where the batched
+solvers run), and at ``N <= 2`` — where C1 lies outside it — the batched
+paths must still agree with the per-point ones.
 """
 
 import dataclasses
@@ -24,10 +29,17 @@ from repro.core.fastpath import (
     lattice_state_costs,
     lattice_structure,
 )
-from repro.core.metrics import resolve_network
+from repro.core.metrics import (
+    evaluate,
+    evaluate_batch,
+    evaluate_survivability,
+    evaluate_survivability_batch,
+    resolve_network,
+)
 from repro.core.rates import GCSRates
 from repro.costs.aggregate import GCSCostModel
 from repro.ctmc.birth_death import BirthDeathProcess
+from repro.ctmc.transient import BATCH_EQUIVALENCE_RTOL
 from repro.detection.functions import vector_shape_factor
 from repro.params import GCSParameters
 
@@ -202,6 +214,18 @@ def test_index_space_invariants(n):
     assert s.rate_gather.shape == (s.nnz,)
     assert 0 <= s.rate_gather.min()
     assert s.rate_gather.max() < 4 * s.pair_t.size + n + 1
+    # The solve space: sorted, unique, holds the initial marking, and is
+    # closed — no CSR edge starts or ends outside it, so every state
+    # outside has out-degree 0. C1 is reachable only from N = 3 on.
+    solve = s.solve_states
+    assert np.all(np.diff(solve) > 0)
+    assert s.initial_state in solve and solve[s.solve_initial] == s.initial_state
+    inside = np.isin(np.arange(s.num_states), solve)
+    rows = np.repeat(np.arange(s.num_states), np.diff(s.indptr))
+    assert inside[rows].all() and inside[s.indices].all()
+    assert np.all(np.diff(s.indptr)[~inside] == 0)
+    assert (s.c1_state in solve) == (n >= 3)
+    assert s.dag.num_states == solve.size and s.dag.nnz == s.nnz
     # Every array the structure holds is frozen: the instance is shared
     # process-wide, so a write must fail rather than poison later points.
     held = _held_arrays(s)
@@ -211,7 +235,7 @@ def test_index_space_invariants(n):
     ).split()
     assert set(held) >= {
         *"t u d state_id c2_states depletion_states indptr indices".split(),
-        *"pair_t pair_u pair_of_state rate_gather".split(),
+        *"pair_t pair_u pair_of_state rate_gather solve_states".split(),
         *(f"dag.{name}" for name in dag),
         "dag.structure.levels",
         *(
@@ -230,3 +254,49 @@ def test_index_space_sizes_at_paper_scale():
     assert s.n_lattice == 176_851
     assert s.pair_t.size == 5_151
     assert s.rate_gather.max() < 4 * 5_151 + 101
+    assert s.solve_states.size == 65_741
+    assert lattice_structure(40).solve_states.size == 5_231
+
+
+def _tiny_scenarios(n):
+    return [
+        GCSParameters.small_test(num_nodes=n, detection_interval_s=tids)
+        for tids in (15.0, 120.0, 600.0)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_lattice_batch_equals_per_point(n):
+    # At N <= 2 no trajectory reaches C1, so its boundary row is absent
+    # from the solve space; the batched results must not notice.
+    scenarios = _tiny_scenarios(n)
+    batched = evaluate_batch(scenarios, include_variance=True)
+    for params, got in zip(scenarios, batched):
+        want = evaluate(params, include_variance=True)
+        assert got.mttsf_s == want.mttsf_s
+        assert got.ctotal_hop_bits_s == want.ctotal_hop_bits_s
+        assert got.failure_probabilities == want.failure_probabilities
+        assert got.mttsf_std_s == want.mttsf_std_s
+        assert got.num_states == want.num_states == lattice_structure(n).num_states
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_lattice_survivability_batch_matches(n):
+    scenarios = _tiny_scenarios(n)
+    times = (0.0, 0.5, 2.0, 5.0)
+    batched = evaluate_survivability_batch(scenarios, times=times)
+    close = dict(rtol=BATCH_EQUIVALENCE_RTOL, atol=1e-12)
+    for params, got in zip(scenarios, batched):
+        want = evaluate_survivability(params, times=times)
+        np.testing.assert_allclose(got.survival, want.survival, **close)
+        assert list(got.failure_cdf) == list(want.failure_cdf)
+        for name, cdf in want.failure_cdf.items():
+            np.testing.assert_allclose(got.failure_cdf[name], cdf, **close)
+        assert got.failure_cdf["c1_data_leak"] == (0.0,) * len(times)
+        np.testing.assert_allclose(
+            got.expected_cost_rate, want.expected_cost_rate, **close
+        )
+        np.testing.assert_allclose(
+            got.time_bounded_cost, want.time_bounded_cost, **close
+        )
+        assert got.num_states == want.num_states

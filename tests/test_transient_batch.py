@@ -178,6 +178,33 @@ class TestTransientBatchUnit:
                 )
             assert np.all(np.diff(batch["any"][p]) >= -ATOL)
 
+    def test_poisson_windows_once_per_distinct_mean(self, monkeypatch):
+        # 12 points that differ in every rate but the fastest share one
+        # uniformization rate, so 8 mission times need 8 windows, not 96.
+        import repro.ctmc.transient as transient_module
+
+        means = []
+        real = transient_module.poisson_weights
+
+        def counting(lam, eps):
+            means.append(lam)
+            return real(lam, eps)
+
+        monkeypatch.setattr(transient_module, "poisson_weights", counting)
+        chain = CTMC.from_transitions(
+            4, [(3, 2, 1.0), (2, 1, 0.5), (2, 0, 0.25), (1, 0, 40.0)]
+        )
+        R = chain.rates
+        values = np.tile(R.data, (12, 1))
+        slow = R.data < 40.0
+        values[:, slow] *= np.linspace(0.5, 1.0, 12)[:, None]
+        times = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]
+        batch = transient_distribution_batch(R.indptr, R.indices, values, times, 3)
+        assert len(means) == len(set(means)) == 8
+        for p in (0, 11):
+            ref = transient_distribution(_per_point_chain(R, values[p]), times, 3)
+            np.testing.assert_allclose(batch[p], ref, rtol=RTOL, atol=ATOL)
+
     def test_scalar_times_shape(self):
         chain = CTMC.from_transitions(3, [(2, 1, 1.0), (1, 0, 0.5)])
         R = chain.rates
