@@ -1,45 +1,30 @@
-"""Batched lattice solver benchmark: per-point vs kernel tiers.
+"""Batched lattice solver benchmark: per-point vs batched.
 
 Runs the fig2–fig5 paper campaign (quick ``N = 40`` grids by default,
 ``--full`` for the paper-scale ``N = 100`` campaign; 112 points, 54
-unique after dedup) through the engine in up to four configurations:
+unique after dedup) through the engine in up to two configurations:
 
 * **per-point serial** — the seed path: every unique point rebuilds and
   solves its own chain (`BatchRunner()` with the serial backend;
   skipped in ``--full`` mode unless ``--serial`` is passed — the
   batched win over it is already gated on the quick campaign);
-* **batched, numpy kernel** (``REPRO_KERNEL=numpy``) — the PR 4
-  baseline: one cached lattice structure, stacked rate fills, the
-  pre-fusion level-loop kernel;
-* **batched, fused kernel** (``REPRO_KERNEL=fused``) — the fused
-  gather: sentinel-slot value gather, level-ordered contiguous views,
-  explicit zeros re-summed row by row;
-* **batched, numba kernel** (``REPRO_KERNEL=numba``) — the jitted
-  single-pass sweep, parallelised over points. Run only when numba
-  imports; the skip is *printed*, never silent.
+* **batched** (``--jobs vector``) — one cached lattice structure,
+  stacked rate fills and one level-scheduled backward sweep;
 
 and asserts
 
-* all configurations are **bit-identical** across the whole campaign
-  (every MTTSF and Ĉtotal compared with ``==``, not a tolerance) —
-  including the numba leg when it runs;
+* both configurations are **bit-identical** across the whole campaign
+  (every MTTSF and Ĉtotal compared with ``==``, not a tolerance) when
+  the per-point leg runs;
 * with ``REPRO_BENCH_REQUIRE_SPEEDUP=<X>`` set (the CI multi-core job
-  sets 3), batched-fused is at least ``X``× faster than per-point
-  serial — the batched win is algorithmic, so it must hold even on one
-  core;
-* with ``REPRO_BENCH_REQUIRE_FUSED_SPEEDUP=<X>`` set (the CI bench job
-  sets 1.5 on the ``--full`` campaign), fused is at least ``X``×
-  faster than the numpy baseline;
-* with ``REPRO_BENCH_REQUIRE_NUMBA_SPEEDUP=<X>`` set (the CI numba A/B
-  leg sets 1.3), the numba tier is at least ``X``× faster than fused —
-  and the gate **fails loudly** if numba is not importable, so a broken
-  CI install can never skip-pass it.
+  sets 3), batched is at least ``X``× faster than per-point serial —
+  the batched win is algorithmic, so it must hold even on one core.
 
 The report is also emitted as machine-readable JSON (``--json PATH`` or
-``REPRO_BENCH_JSON=PATH``) with points/s, all speedups, and the fused
-leg's per-phase wall-clock breakdown (``phases.evaluate`` is the metric
-the kernel tiers shift), which CI uploads as an artifact and folds into
-the ``BENCH_<sha>.json`` trajectory (``benchmarks/bench_report.py``).
+``REPRO_BENCH_JSON=PATH``) with points/s, the speedup, and the batched
+leg's per-phase wall-clock breakdown (``phases.evaluate`` is the
+solver's share), which CI uploads as an artifact and folds into the
+``BENCH_<sha>.json`` trajectory (``benchmarks/bench_report.py``).
 
 Runs under pytest-benchmark like the other ``bench_*`` files and as a
 standalone script
@@ -55,7 +40,6 @@ import time
 from pathlib import Path
 
 from repro.core.fastpath import clear_structure_cache
-from repro.ctmc.kernels import numba_available
 from repro.engine import BatchRunner, available_cpus, make_backend
 from repro.engine.jobs import paper_campaign
 from repro.voting.majority import clear_table_cache
@@ -84,26 +68,13 @@ def _campaign_values(outcome):
     ]
 
 
-def _timed_vector_run(campaign, *, kernel: str):
-    """One cold vector-backend campaign run under the given kernel tier.
-
-    ``REPRO_KERNEL`` (which supersedes the legacy ``REPRO_FUSED_GATHER``
-    toggle) pins the tier for the duration of the run, then is restored
-    so the legs cannot leak into each other.
-    """
+def _timed_vector_run(campaign):
+    """One cold vector-backend campaign run."""
     _cold_caches()
-    previous = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = kernel
-    try:
-        runner = BatchRunner(backend=make_backend("vector"))
-        t0 = time.perf_counter()
-        outcome = campaign.run(runner)
-        return outcome, time.perf_counter() - t0
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = previous
+    runner = BatchRunner(backend=make_backend("vector"))
+    t0 = time.perf_counter()
+    outcome = campaign.run(runner)
+    return outcome, time.perf_counter() - t0
 
 
 def _run_all(*, full: bool = False, include_serial: bool | None = None):
@@ -122,13 +93,7 @@ def _run_all(*, full: bool = False, include_serial: bool | None = None):
         outcome_serial = campaign.run(serial)
         serial_s = time.perf_counter() - t0
 
-    outcome_unfused, unfused_s = _timed_vector_run(campaign, kernel="numpy")
-    outcome_vector, vector_s = _timed_vector_run(campaign, kernel="fused")
-
-    outcome_numba = None
-    numba_s = None
-    if numba_available():
-        outcome_numba, numba_s = _timed_vector_run(campaign, kernel="numba")
+    outcome_vector, vector_s = _timed_vector_run(campaign)
 
     n_unique = outcome_vector.report.n_unique
     return {
@@ -137,46 +102,28 @@ def _run_all(*, full: bool = False, include_serial: bool | None = None):
         "n_points": len(campaign),
         "n_unique": n_unique,
         "serial_s": serial_s,
-        "unfused_s": unfused_s,
         "vector_s": vector_s,
-        "numba_s": numba_s,
-        "numba_available": numba_available(),
         "speedup": serial_s / vector_s if serial_s is not None else None,
-        "fused_speedup": unfused_s / vector_s,
-        "numba_speedup": vector_s / numba_s if numba_s is not None else None,
         "points_per_s_serial": (
             n_unique / serial_s if serial_s is not None else None
         ),
-        "points_per_s_unfused": n_unique / unfused_s,
         "points_per_s_vector": n_unique / vector_s,
-        "points_per_s_numba": (
-            n_unique / numba_s if numba_s is not None else None
-        ),
         "phases": dict(outcome_vector.report.phase_seconds),
         "cpus": available_cpus(),
         "outcome_serial": outcome_serial,
-        "outcome_unfused": outcome_unfused,
         "outcome_vector": outcome_vector,
-        "outcome_numba": outcome_numba,
     }
 
 
 def _assert_claims(r) -> None:
-    assert r["outcome_unfused"].report.n_errors == 0
     assert r["outcome_vector"].report.n_errors == 0
 
     # Bit-identical across the whole campaign — the solver contract.
-    vector_vals = _campaign_values(r["outcome_vector"])
-    unfused_vals = _campaign_values(r["outcome_unfused"])
-    assert unfused_vals == vector_vals, "fused kernel diverged from baseline"
     if r["outcome_serial"] is not None:
         assert r["outcome_serial"].report.n_errors == 0
         serial_vals = _campaign_values(r["outcome_serial"])
+        vector_vals = _campaign_values(r["outcome_vector"])
         assert serial_vals == vector_vals, "batched campaign diverged from per-point"
-    if r["outcome_numba"] is not None:
-        assert r["outcome_numba"].report.n_errors == 0
-        numba_vals = _campaign_values(r["outcome_numba"])
-        assert numba_vals == vector_vals, "numba kernel diverged from fused"
 
     required = os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP")
     if required:
@@ -192,33 +139,6 @@ def _assert_claims(r) -> None:
             f"{r['cpus']} cpus)"
         )
 
-    required_fused = os.environ.get("REPRO_BENCH_REQUIRE_FUSED_SPEEDUP")
-    if required_fused:
-        floor = float(required_fused)
-        assert r["fused_speedup"] >= floor, (
-            f"fused gather {r['fused_speedup']:.2f}x not >= required "
-            f"{floor:g}x (numpy {r['unfused_s']:.2f}s, fused "
-            f"{r['vector_s']:.2f}s, {r['cpus']} cpus)"
-        )
-
-    required_numba = os.environ.get("REPRO_BENCH_REQUIRE_NUMBA_SPEEDUP")
-    if required_numba:
-        # The A/B gate must never skip-pass: a CI leg that sets it on a
-        # host whose numba install silently broke should go red, not
-        # green. The *intentional* skip happens upstream (the workflow
-        # only sets the gate after probing that numba imports).
-        assert r["numba_speedup"] is not None, (
-            "REPRO_BENCH_REQUIRE_NUMBA_SPEEDUP is set but numba is not "
-            "importable on this host — install the 'kernels' extra or "
-            "unset the gate"
-        )
-        floor = float(required_numba)
-        assert r["numba_speedup"] >= floor, (
-            f"numba kernel {r['numba_speedup']:.2f}x not >= required "
-            f"{floor:g}x (fused {r['vector_s']:.2f}s, numba "
-            f"{r['numba_s']:.2f}s, {r['cpus']} cpus)"
-        )
-
 
 def _json_report(r) -> dict:
     return {
@@ -229,17 +149,10 @@ def _json_report(r) -> dict:
             "n_points",
             "n_unique",
             "serial_s",
-            "unfused_s",
             "vector_s",
-            "numba_s",
-            "numba_available",
             "speedup",
-            "fused_speedup",
-            "numba_speedup",
             "points_per_s_serial",
-            "points_per_s_unfused",
             "points_per_s_vector",
-            "points_per_s_numba",
             "phases",
             "cpus",
         )
@@ -290,21 +203,12 @@ def main(argv=None) -> None:
     if r["serial_s"] is not None:
         print(f"{'per-point serial':20s} {r['serial_s']:8.2f}s  "
               f"{r['points_per_s_serial']:7.1f} pts/s   1.00x")
-    print(f"{'batched, numpy':20s} {r['unfused_s']:8.2f}s  "
-          f"{r['points_per_s_unfused']:7.1f} pts/s")
     speedup = f"{r['speedup']:5.2f}x vs serial" if r["speedup"] else ""
-    print(f"{'batched, fused':20s} {r['vector_s']:8.2f}s  "
-          f"{r['points_per_s_vector']:7.1f} pts/s  "
-          f"{r['fused_speedup']:5.2f}x vs numpy  {speedup}")
-    if r["numba_s"] is not None:
-        print(f"{'batched, numba':20s} {r['numba_s']:8.2f}s  "
-              f"{r['points_per_s_numba']:7.1f} pts/s  "
-              f"{r['numba_speedup']:5.2f}x vs fused")
-    else:
-        print(f"{'batched, numba':20s} skipped — numba not importable "
-              "(pip install repro[kernels])")
+    print(f"{'batched':20s} {r['vector_s']:8.2f}s  "
+          f"{r['points_per_s_vector']:7.1f} pts/s  {speedup}")
     print(f"batch report: {report.describe()}")
-    print("bit-identical: yes (asserted)")
+    if r["serial_s"] is not None:
+        print("bit-identical: yes (asserted)")
     _write_json(r, args.json)
 
 

@@ -4,16 +4,17 @@ The CI ``bench`` job runs the solver benchmarks (each of which writes
 its own machine-readable report), then calls this script to
 
 * merge them into one normalized trajectory record
-  ``BENCH_<sha>.<kernel>-py<ver>.json`` — ``{"sha", "kernel",
-  "python", "benches": {name: metrics}}`` with only scalar metrics
-  kept (outcome objects and None values dropped). The kernel tag and
-  python version are part of the record *and* the filename so A/B legs
-  (fused vs numba, 3.11 vs 3.13t) roll forward separate baselines
-  instead of clobbering each other in the shared ``actions/cache``
-  directory;
+  ``BENCH_<sha>.fused-py<ver>.json`` — ``{"sha", "python", "benches":
+  {name: metrics}}`` with only scalar metrics kept (outcome objects and
+  None values dropped). The python version is part of the record *and*
+  the filename so legs on different interpreters (3.11 vs 3.13t) roll
+  forward separate baselines instead of clobbering each other in the
+  shared ``actions/cache`` directory. The ``fused`` in the filename is
+  the default of the ``kernel`` field that older records carry, so new
+  records keep the same key as the baselines cached before it;
 * compare it against the most recent cached baseline **with the same
-  kernel tag and python version** and emit a markdown delta table
-  (appended to the job summary);
+  python version** and emit a markdown delta table (appended to the
+  job summary);
 * **hard-gate** the metrics named by ``--gate`` (repeatable): a
   regression beyond ``--gate-threshold`` percent (default 15) in any
   gated metric fails the job with exit status 1.
@@ -87,21 +88,22 @@ def variant(record: dict) -> str:
     return f"{record.get('kernel', 'fused')}-py{record.get('python', '?')}"
 
 
-def merge(sha: str, inputs: dict[str, Path], *, kernel: str, python: str) -> dict:
+def merge(sha: str, inputs: dict[str, Path], *, python: str) -> dict:
     benches = {}
     for name, path in inputs.items():
         payload = json.loads(Path(path).read_text())
         benches[name] = _scalar_metrics(payload)
-    return {"sha": sha, "kernel": kernel, "python": python, "benches": benches}
+    return {"sha": sha, "python": python, "benches": benches}
 
 
 def _baseline_matches(current: dict, candidate: dict) -> bool:
     """Whether a cached record is comparable to the current one.
 
-    Records written before the kernel/python keying existed carry
-    neither field; treat them as the default ``fused`` tier on any
-    python, so the first keyed run still gets a trajectory row instead
-    of a silent fresh start.
+    A missing ``kernel`` field reads as ``fused``, so current records
+    (which carry none) match the ``fused`` records cached before the
+    field was dropped, and records written before the python keying
+    existed match any python — the first run after either change
+    still gets a trajectory row instead of a silent fresh start.
     """
     if candidate.get("kernel", "fused") != current.get("kernel", "fused"):
         return False
@@ -109,7 +111,7 @@ def _baseline_matches(current: dict, candidate: dict) -> bool:
 
 
 def find_baseline(baseline_dir: Path, current: dict) -> "dict | None":
-    """Newest cached ``BENCH_*.json`` with a matching kernel/python."""
+    """Newest cached ``BENCH_*.json`` with a matching kernel/python key."""
     if not baseline_dir.is_dir():
         return None
     candidates = sorted(
@@ -187,7 +189,7 @@ def fresh_report(current: dict) -> str:
         "## Bench trajectory",
         "",
         f"`{current.get('sha', '?')[:12]}` [{variant(current)}] — no "
-        "previous baseline for this kernel/python (first run or cache miss)",
+        "previous baseline for this python (first run or cache miss)",
         "",
         "| bench | metric | value |",
         "|---|---|---:|",
@@ -217,10 +219,6 @@ def main(argv=None) -> int:
         help="directory holding the previous BENCH_*.json (actions/cache)",
     )
     parser.add_argument(
-        "--kernel", default=None, metavar="TIER",
-        help="kernel tag for the record (default: $REPRO_KERNEL or 'fused')",
-    )
-    parser.add_argument(
         "--gate", action="append", default=[], metavar="METRIC",
         help="hard-gated metric, e.g. phases.evaluate or vector_s "
         "(repeatable; regression beyond --gate-threshold exits 1)",
@@ -243,8 +241,7 @@ def main(argv=None) -> int:
             parser.error(f"--input must look like NAME=PATH, got {spec!r}")
         inputs[name] = Path(path)
 
-    kernel = args.kernel or os.environ.get("REPRO_KERNEL") or "fused"
-    current = merge(args.sha, inputs, kernel=kernel, python=python_tag())
+    current = merge(args.sha, inputs, python=python_tag())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"BENCH_{args.sha}.{variant(current)}.json"

@@ -34,9 +34,7 @@ solver; ``vector:N`` = the vector+procs hybrid fanning batch chunks
 over ``N`` pool workers; ``remote`` = submit to a sweep service),
 ``--cache-dir DIR`` (persistent content-addressed
 result cache, safe to share between concurrent processes),
-``--cache-cap-mb MB`` (LRU disk eviction cap), ``--kernel
-numba|fused|numpy`` (batched-solver kernel tier — sets
-``REPRO_KERNEL``; all tiers bit-identical) and
+``--cache-cap-mb MB`` (LRU disk eviction cap) and
 ``--verbose`` (cache hit/miss/eviction statistics plus per-phase batch
 timings).
 
@@ -126,18 +124,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--kernel",
-        choices=("numba", "fused", "numpy"),
-        default=None,
-        help=(
-            "batched-solver kernel tier (sets REPRO_KERNEL for this run "
-            "and every pool worker): 'numba' = jitted one-pass sweep "
-            "(needs the optional numba extra; falls back to 'fused' "
-            "when missing), 'fused' = fused-gather NumPy (default), "
-            "'numpy' = pre-fusion reference; all tiers are bit-identical"
-        ),
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
         help="print cache hit/miss/eviction statistics and per-phase timings",
@@ -166,8 +152,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help=(
-            "write a run manifest (params digest, git sha, backend, kernel "
-            "flags, phase timings, cache stats, errors); with --trace or "
+            "write a run manifest (params digest, git sha, backend, "
+            "phase timings, cache stats, errors); with --trace or "
             "--metrics-out one is also written next to --out automatically"
         ),
     )
@@ -571,15 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "local backend leased chunks are evaluated on (same grammar "
             "as the engine commands, except 'remote'); default serial"
-        ),
-    )
-    p_work.add_argument(
-        "--kernel",
-        choices=("numba", "fused", "numpy"),
-        default=None,
-        help=(
-            "batched-solver kernel tier for leased chunks (sets "
-            "REPRO_KERNEL; advertised in the server's /health roster)"
         ),
     )
     p_work.add_argument(
@@ -1017,11 +994,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "kernel", None):
-            # Applied via the environment so the selection reaches every
-            # layer — dispatch seam, pool workers, manifest — without
-            # threading a parameter through each one.
-            os.environ["REPRO_KERNEL"] = args.kernel
         if hasattr(args, "trace"):  # engine-backed command: fresh obs state
             _configure_obs(args)
         if args.command == "list":

@@ -522,7 +522,6 @@ def _solve_prepared(
     prepared: Sequence[_PreparedPoint],
     *,
     include_variance: bool,
-    kernel: Optional[str] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray], float]:
     """Run the shared backward sweep for one chunk of prepared points.
 
@@ -549,15 +548,14 @@ def _solve_prepared(
         boundary[classes["depletion"], 3 + n_rewards] = 1.0
 
         values = np.stack([point.values for point in prepared])
-        x = solve_dag_batch(structure.dag, values, numer, boundary, kernel=kernel)
+        x = solve_dag_batch(structure.dag, values, numer, boundary)
 
     m2: Optional[np.ndarray] = None
     if include_variance:
         with span("solve.variance", points=P):
             numer2 = np.ascontiguousarray(2.0 * x[:, :, 0:1])
-            m2 = solve_dag_batch(
-                structure.dag, values, numer2, np.zeros((n, 1)), kernel=kernel
-            )[:, :, 0]
+            boundary2 = np.zeros((n, 1))
+            m2 = solve_dag_batch(structure.dag, values, numer2, boundary2)[:, :, 0]
     return x, m2, time.perf_counter() - t0
 
 
@@ -617,7 +615,6 @@ def evaluate_batch_outcomes(
     include_variance: bool = False,
     sizes: Optional[MessageSizes] = None,
     max_batch_bytes: int = DEFAULT_BATCH_BYTES,
-    kernel: Optional[str] = None,
 ) -> list[tuple[Optional[GCSResult], Optional[BaseException]]]:
     """Batched evaluation with per-point error capture.
 
@@ -627,12 +624,6 @@ def evaluate_batch_outcomes(
     is the contract the engine's
     :class:`~repro.engine.executor.VectorBackend` builds
     :class:`~repro.engine.executor.PointOutcome` records from.
-
-    ``kernel`` selects the batched-sweep tier explicitly
-    (``numba``/``fused``/``numpy``); ``None`` follows ``REPRO_KERNEL``
-    — see :func:`repro.ctmc.kernels.resolve_kernel`. Every tier
-    produces bit-identical results, so the choice never enters cache
-    keys or request fingerprints.
     """
     outcomes: list[tuple[Optional[GCSResult], Optional[BaseException]]] = [
         (None, None)
@@ -705,7 +696,6 @@ def evaluate_batch_outcomes(
                 structure,
                 prepared,
                 include_variance=include_variance,
-                kernel=kernel,
             )
             share = elapsed / len(prepared)
             with span("package", points=len(prepared)):
@@ -895,8 +885,6 @@ def evaluate_survivability_batch_outcomes(
     sizes: Optional[MessageSizes] = None,
     eps: float = 1e-12,
     max_batch_bytes: int = DEFAULT_BATCH_BYTES,
-    kernel: Optional[str] = None,
-    transient_backend: Optional[str] = None,
 ) -> list[tuple[Optional[SurvivabilityResult], Optional[BaseException]]]:
     """Batched survivability with per-point error capture.
 
@@ -905,10 +893,6 @@ def evaluate_survivability_batch_outcomes(
     group shares one cached :class:`~repro.core.fastpath.LatticeStructure`
     and one multi-point uniformization sweep
     (:func:`repro.ctmc.transient.transient_distribution_batch`).
-    ``kernel`` picks the matvec tier and ``transient_backend`` the
-    algorithm (``uniformization``/``expm``); both default to their
-    environment switches (``REPRO_KERNEL`` /
-    ``REPRO_TRANSIENT_BACKEND``).
     """
     outcomes: list[
         tuple[Optional[SurvivabilityResult], Optional[BaseException]]
@@ -966,8 +950,6 @@ def evaluate_survivability_batch_outcomes(
                         np.asarray(times),
                         structure.solve_initial,
                         eps=eps,
-                        kernel=kernel,
-                        backend=transient_backend,
                     )
             except Exception as exc:  # noqa: BLE001 — chunk-level capture
                 # A shared-sweep failure (e.g. invalid eps) fails every

@@ -12,6 +12,14 @@ provides:
   (:mod:`repro.ctmc.linear`);
 * :func:`~repro.ctmc.transient.transient_distribution` — uniformization
   with stable Poisson weights (:mod:`repro.ctmc.poisson`);
+* :func:`~repro.ctmc.acyclic.solve_dag_batch` and
+  :func:`~repro.ctmc.transient.transient_distribution_batch` — the
+  batched solvers for ``P`` rate fills of one sparsity pattern: one
+  level-scheduled backward sweep (bit-identical to per-point
+  :func:`~repro.ctmc.acyclic.solve_dag`) and one stacked-matrix
+  uniformization (within
+  :data:`~repro.ctmc.transient.BATCH_EQUIVALENCE_RTOL` of per-point
+  :func:`~repro.ctmc.transient.transient_distribution`);
 * :func:`~repro.ctmc.stationary.stationary_distribution` — GTH
   elimination / power iteration;
 * :class:`~repro.ctmc.birth_death.BirthDeathProcess` — closed-form
@@ -29,22 +37,13 @@ from .acyclic import (
 )
 from .birth_death import BirthDeathProcess
 from .chain import CTMC
-from .kernels import (
-    KERNEL_CHOICES,
-    fused_gather_enabled,
-    numba_available,
-    resolve_kernel,
-)
 from .linear import solve_linear_system
 from .poisson import poisson_weights
 from .stationary import stationary_distribution
 from .transient import (
     BATCH_EQUIVALENCE_RTOL,
-    EXPM_EQUIVALENCE_RTOL,
-    TRANSIENT_BACKEND_CHOICES,
     absorption_cdf,
     absorption_cdf_batch,
-    resolve_transient_backend,
     transient_distribution,
     transient_distribution_batch,
 )
@@ -66,13 +65,6 @@ __all__ = [
     "transient_distribution_batch",
     "absorption_cdf_batch",
     "BATCH_EQUIVALENCE_RTOL",
-    "EXPM_EQUIVALENCE_RTOL",
-    "KERNEL_CHOICES",
-    "TRANSIENT_BACKEND_CHOICES",
-    "fused_gather_enabled",
-    "numba_available",
-    "resolve_kernel",
-    "resolve_transient_backend",
     "stationary_distribution",
     "BirthDeathProcess",
 ]

@@ -30,7 +30,6 @@ import numpy as np
 from ..errors import SolverError
 from ..obs import metrics, span
 from .chain import CTMC
-from .kernels import fused_gather_enabled, resolve_kernel
 
 __all__ = [
     "DagStructure",
@@ -39,7 +38,6 @@ __all__ = [
     "BatchDagStructure",
     "batch_dag_structure",
     "solve_dag_batch",
-    "fused_gather_enabled",
 ]
 
 
@@ -171,14 +169,18 @@ class BatchDagStructure:
 
     * canonical CSR (``indptr``/``indices``, columns sorted within each
       row) — the shape rate fills scatter into;
-    * padded ELL (``ell_cols``/``ell_slots``/``ell_pad``, one fixed-width
-      row per state, real slots first in CSR order, pads after) — the
-      shape the vectorised backward sweep gathers from. Keeping the
-      real slots in CSR order makes the batched per-row accumulation
-      run in exactly the sequence scipy's CSR matvec uses, which is
-      what makes the batched solve *bit-identical* to the per-point
-      one (trailing ``+ 0.0`` pads cannot perturb an IEEE sum of
-      finite non-negative terms).
+    * padded ELL in level order (``lvl_ell_slots``/``lvl_ell_cols``,
+      one fixed-width row per state, real slots first in CSR order,
+      pads after) — the shape the backward sweep gathers from. The
+      rows are permuted into level order, so each level is the
+      contiguous slice ``lvl_row_bounds[L]:lvl_row_bounds[L + 1]``,
+      and pad entries point at the sentinel slot ``nnz``, so one
+      gather from the zero-extended value array yields exact ``0.0``
+      pads. Keeping the real slots in CSR order makes the batched
+      per-row accumulation run in exactly the sequence scipy's CSR
+      matvec uses, which is what makes the batched solve
+      *bit-identical* to the per-point one (trailing ``+ 0.0`` pads
+      cannot perturb an IEEE sum of finite non-negative terms).
 
     The level schedule is computed on the pattern alone. Any per-point
     pattern is a subset (rates may evaluate to zero), and removing
@@ -193,18 +195,7 @@ class BatchDagStructure:
     #: Row index of every CSR slot (``nnz``-long, non-decreasing).
     slot_rows: np.ndarray
     structure: DagStructure
-    ell_cols: np.ndarray
-    ell_slots: np.ndarray
-    ell_pad: np.ndarray
     width: int
-    #: Fused-gather plan: the ELL rows permuted into level order so the
-    #: backward sweep slices *contiguous* per-level views instead of
-    #: fancy-gathering rows per level. ``lvl_rows`` is the state order
-    #: (``concatenate(level_states)``), ``lvl_row_bounds`` the level
-    #: boundaries into it, and ``lvl_ell_slots`` points pad entries at
-    #: the sentinel slot ``nnz`` so one gather from the zero-extended
-    #: value array replaces the gather + ``np.where`` pad pass.
-    lvl_rows: np.ndarray
     lvl_row_bounds: np.ndarray
     lvl_ell_slots: np.ndarray
     lvl_ell_cols: np.ndarray
@@ -239,11 +230,10 @@ def batch_dag_structure(
     rows_of_slot = np.repeat(np.arange(n, dtype=np.int64), deg)
     pos_in_row = np.arange(nnz, dtype=np.int64) - np.repeat(indptr[:-1], deg)
 
-    ell_slots = np.zeros((n, max(width, 1)), dtype=np.int64)
-    ell_pad = np.ones((n, max(width, 1)), dtype=bool)
+    # Padded ELL in state order; pads point at the sentinel slot nnz.
+    ell_slots = np.full((n, max(width, 1)), nnz, dtype=np.int64)
     ell_cols = np.zeros((n, max(width, 1)), dtype=np.int64)
     ell_slots[rows_of_slot, pos_in_row] = np.arange(nnz, dtype=np.int64)
-    ell_pad[rows_of_slot, pos_in_row] = False
     ell_cols[rows_of_slot, pos_in_row] = indices
 
     # Predecessor lists (CSC view of the pattern) for the level sweep.
@@ -285,26 +275,15 @@ def batch_dag_structure(
     boundaries = np.searchsorted(sorted_levels, np.arange(depth + 1))
     level_states = [order_l[boundaries[L] : boundaries[L + 1]] for L in range(depth)]
 
-    # Fused-gather plan: ELL rows in level order, pads pointing at the
-    # sentinel slot ``nnz`` (one gather from a zero-extended value
-    # array yields exact ``0.0`` pads with no masking pass).
-    lvl_ell_slots = ell_slots[order_l].copy()
-    lvl_ell_slots[ell_pad[order_l]] = nnz
-    lvl_ell_cols = ell_cols[order_l]
-
     return BatchDagStructure(
         indptr=indptr,
         indices=indices,
         slot_rows=rows_of_slot,
         structure=DagStructure(levels=levels, level_states=level_states),
-        ell_cols=ell_cols,
-        ell_slots=ell_slots,
-        ell_pad=ell_pad,
         width=width,
-        lvl_rows=order_l,
         lvl_row_bounds=boundaries,
-        lvl_ell_slots=lvl_ell_slots,
-        lvl_ell_cols=lvl_ell_cols,
+        lvl_ell_slots=ell_slots[order_l],
+        lvl_ell_cols=ell_cols[order_l],
     )
 
 
@@ -353,48 +332,11 @@ def _row_sums(shared: BatchDagStructure, values: np.ndarray) -> np.ndarray:
     return q
 
 
-def _row_sums_legacy(shared: BatchDagStructure, values: np.ndarray) -> np.ndarray:
-    """The pre-fusion kernel's out-rates, equal to :func:`_row_sums`.
-
-    Points holding explicit zeros are grouped by identical zero pattern
-    with ``np.unique(axis=0)`` — a structured dtype with one field per
-    CSR slot, seconds at lattice sizes — and each group re-reduces a
-    zero-pruned copy of every slot. Kept only so the ``numpy`` tier
-    stays the pre-fusion A/B baseline; it goes with that tier.
-    """
-    P, n = values.shape[0], shared.num_states
-    q = np.zeros((P, n))
-    if shared.nnz == 0:
-        return q
-    nonempty = np.diff(shared.indptr) > 0
-    q[:, nonempty] = np.add.reduceat(values, shared.indptr[:-1][nonempty], axis=1)
-    zero_points = np.flatnonzero(~np.all(values != 0.0, axis=1))
-    if zero_points.size == 0:
-        return q
-    masks = values[zero_points] != 0.0
-    patterns, inverse = np.unique(masks, axis=0, return_inverse=True)
-    for g in range(patterns.shape[0]):
-        keep = patterns[g]
-        points = zero_points[inverse == g]
-        pruned = values[np.ix_(points, np.flatnonzero(keep))]
-        deg_g = np.bincount(shared.slot_rows[keep], minlength=n)
-        nonempty_g = deg_g > 0
-        starts_g = (np.cumsum(deg_g) - deg_g)[nonempty_g]
-        q_g = np.zeros((points.size, n))
-        if starts_g.size:
-            q_g[:, nonempty_g] = np.add.reduceat(pruned, starts_g, axis=1)
-        q[points] = q_g
-    return q
-
-
 def solve_dag_batch(
     shared: BatchDagStructure,
     values: np.ndarray,
     numerators: np.ndarray,
     boundary: np.ndarray,
-    *,
-    fused: Optional[bool] = None,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Solve the boundary-value recurrence for ``P`` rate fills at once.
 
@@ -412,22 +354,6 @@ def solve_dag_batch(
     boundary:
         ``(n, k)`` (shared) or ``(P, n, k)`` prescribed values at
         absorbing states; ignored at transient states.
-    fused:
-        Legacy switch: ``True``/``False`` selects the fused-gather or
-        the pre-fusion (``numpy``) kernel explicitly; ``None``
-        (default) defers to ``kernel``. The two kernels compute the
-        *same* IEEE operation sequence per element — equal results
-        (the fused kernel folds the pad-masking pass into a
-        sentinel-slot gather and skips no-op absorbing masks; it never
-        reorders a single addition).
-    kernel:
-        Explicit kernel tier (``"numba"``/``"fused"``/``"numpy"``);
-        ``None`` (default) follows ``REPRO_KERNEL`` then the legacy
-        ``REPRO_FUSED_GATHER`` switch — see
-        :func:`repro.ctmc.kernels.resolve_kernel`. The ``numba`` tier
-        runs the jitted one-pass sweep (bit-identical to ``fused``)
-        and degrades to ``fused`` when numba is absent or the jit
-        fails.
 
     Returns
     -------
@@ -435,6 +361,17 @@ def solve_dag_batch(
     point's absorbing states and ``x_s = (b_s + Σ_j R_sj x_j) / q_s``
     on its transient states — bit-identical to running
     :func:`solve_dag` per point on the per-point (zero-pruned) chain.
+
+    The sweep gathers every point's level-ordered ELL values once from
+    the zero-extended value array, then walks the levels as contiguous
+    slices. ``contrib`` accumulates strictly in CSR slot order starting
+    from the first term — the sequential order of scipy's CSR matvec in
+    per-point :func:`solve_dag` (``0.0 + t₀ == t₀`` for the
+    non-negative products of a rate fill). When every point's absorbing
+    set is exactly the structural one (no explicit all-zero rows — the
+    common case for real rate fills), the boundary is scattered once
+    and the per-level absorbing re-masking is skipped, since levels
+    ≥ 1 are then non-absorbing for every point.
     """
     values = np.asarray(values, dtype=float)
     numerators = np.asarray(numerators, dtype=float)
@@ -457,184 +394,42 @@ def solve_dag_batch(
             f"boundary must have shape ({n}, {k}) or ({P}, {n}, {k}), "
             f"got {boundary.shape}"
         )
-    kernel = resolve_kernel(kernel, fused=fused)
-    if kernel == "numba":
-        # Compile (and warm) the jitted kernels up front: a jit failure
-        # degrades to the fused tier *before* the span opens, so the
-        # recorded kernel tag is always the tier that actually ran.
-        try:
-            from ._numba_kernels import ensure_compiled
-
-            ensure_compiled()
-        except Exception:  # noqa: BLE001 — jit failure must not kill a solve
-            metrics().counter("solver.kernel_jit_failures").add()
-            kernel = "fused"
     levels = len(shared.structure.level_states)
-    with span(
-        "solve_dag_batch", points=P, states=n, levels=levels, kernel=kernel
-    ):
-        if kernel == "numba":
-            result = _solve_dag_batch_numba(shared, values, numerators, boundary)
-        elif kernel == "fused":
-            result = _solve_dag_batch_fused(shared, values, numerators, boundary)
+    with span("solve_dag_batch", points=P, states=n, levels=levels):
+        q = _row_sums(shared, values)
+        absorbing = q == 0.0
+        struct_abs = shared.structure.levels == 0
+        uniform = bool(np.array_equal(absorbing, np.broadcast_to(struct_abs, (P, n))))
+        if uniform:
+            x = np.zeros((P, n, k))
+            idx = np.flatnonzero(struct_abs)
+            x[:, idx, :] = boundary[:, idx, :]
+            safe_q = q  # levels >= 1 are non-absorbing for every point
         else:
-            result = _solve_dag_batch_legacy(shared, values, numerators, boundary)
+            x = np.where(absorbing[:, :, None], boundary, 0.0)
+            safe_q = np.where(absorbing, 1.0, q)
+
+        # One gather with a sentinel zero column yields exact 0.0 pads.
+        vals_ext = np.concatenate([values, np.zeros((P, 1))], axis=1)
+        ell_vals = vals_ext[:, shared.lvl_ell_slots]  # (P, n, width), level order
+
+        bounds = shared.lvl_row_bounds
+        for L, rows in enumerate(shared.structure.level_states[1:], start=1):
+            a, b = bounds[L], bounds[L + 1]
+            ev = ell_vals[:, a:b, :]
+            cols = shared.lvl_ell_cols[a:b]
+            contrib = ev[:, :, 0, None] * x[:, cols[:, 0], :]
+            for j in range(1, shared.width):
+                contrib += ev[:, :, j, None] * x[:, cols[:, j], :]
+            solved = (numerators[:, rows, :] + contrib) / safe_q[:, rows, None]
+            if uniform:
+                x[:, rows, :] = solved
+            else:
+                x[:, rows, :] = np.where(
+                    absorbing[:, rows, None], x[:, rows, :], solved
+                )
     registry = metrics()
     registry.counter("solver.dag_batch_solves").add()
     registry.counter("solver.dag_points_solved").add(P)
     registry.counter("solver.dag_level_sweeps").add(levels)
-    return result
-
-
-def _solve_dag_batch_legacy(
-    shared: BatchDagStructure,
-    values: np.ndarray,
-    numerators: np.ndarray,
-    boundary: np.ndarray,
-) -> np.ndarray:
-    """The pre-fusion (PR 4) kernel: per-``j`` row gathers + masked pads."""
-    P, n, k = numerators.shape
-
-    # Gather the CSR values into the padded ELL layout (pads -> 0.0).
-    if shared.nnz == 0:
-        ell_vals = np.zeros((P,) + shared.ell_slots.shape)
-    else:
-        ell_vals = np.where(shared.ell_pad, 0.0, values[:, shared.ell_slots])
-
-    q = _row_sums_legacy(shared, values)
-
-    absorbing = q == 0.0
-    x = np.where(absorbing[:, :, None], boundary, 0.0)
-    safe_q = np.where(absorbing, 1.0, q)
-
-    for rows in shared.structure.level_states[1:]:
-        cols = shared.ell_cols[rows]
-        contrib = np.zeros((P, rows.size, k))
-        for j in range(shared.width):
-            contrib += ell_vals[:, rows, j, None] * x[:, cols[:, j], :]
-        solved = (numerators[:, rows, :] + contrib) / safe_q[:, rows, None]
-        x[:, rows, :] = np.where(absorbing[:, rows, None], x[:, rows, :], solved)
-
-    return x
-
-
-def _solve_dag_batch_fused(
-    shared: BatchDagStructure,
-    values: np.ndarray,
-    numerators: np.ndarray,
-    boundary: np.ndarray,
-) -> np.ndarray:
-    """Fused-gather kernel: one sentinel-slot gather, level-sliced views.
-
-    Three fusions over the legacy kernel, none of which changes a
-    single IEEE operation on the solved values:
-
-    * the ``(P, n, width)`` ELL value gather and its pad-masking
-      ``np.where`` pass collapse into *one* gather from the
-      zero-extended value array (pad slots point at a sentinel ``0.0``
-      column — exactly the value the mask produced);
-    * the gathered ELL rows are pre-permuted into level order
-      (``lvl_ell_slots``/``lvl_ell_cols``), so the per-level inner loop
-      slices contiguous views instead of fancy-gathering rows ``width``
-      times per level;
-    * when every point's absorbing set is exactly the structural one
-      (no explicit all-zero rows — the common case for real rate
-      fills), the boundary scatter happens once on the absorbing index
-      set and the per-level absorbing re-masking (a no-op there, since
-      levels ≥ 1 are structurally non-absorbing) is skipped entirely.
-
-    ``contrib`` accumulates strictly in CSR slot order starting from
-    the first term — the same sequential order as the legacy kernel's
-    ``0.0 + t₀ + t₁ + …`` (IEEE-identical: ``0.0 + t₀ == t₀`` for the
-    non-negative products of a rate fill) and as scipy's sequential
-    CSR matvec in per-point :func:`solve_dag`.
-    """
-    P, n, k = numerators.shape
-
-    q = _row_sums(shared, values)
-    absorbing = q == 0.0
-    struct_abs = shared.structure.levels == 0
-    uniform = bool(np.array_equal(absorbing, np.broadcast_to(struct_abs, (P, n))))
-    if uniform:
-        x = np.zeros((P, n, k))
-        idx = np.flatnonzero(struct_abs)
-        x[:, idx, :] = boundary[:, idx, :]
-        safe_q = q  # levels >= 1 are non-absorbing for every point
-    else:
-        x = np.where(absorbing[:, :, None], boundary, 0.0)
-        safe_q = np.where(absorbing, 1.0, q)
-
-    # One gather with a sentinel zero column replaces gather + mask.
-    vals_ext = np.concatenate([values, np.zeros((P, 1))], axis=1)
-    ell_vals = vals_ext[:, shared.lvl_ell_slots]  # (P, n, width), level order
-
-    bounds = shared.lvl_row_bounds
-    for L, rows in enumerate(shared.structure.level_states[1:], start=1):
-        a, b = bounds[L], bounds[L + 1]
-        ev = ell_vals[:, a:b, :]
-        cols = shared.lvl_ell_cols[a:b]
-        contrib = ev[:, :, 0, None] * x[:, cols[:, 0], :]
-        for j in range(1, shared.width):
-            contrib += ev[:, :, j, None] * x[:, cols[:, j], :]
-        solved = (numerators[:, rows, :] + contrib) / safe_q[:, rows, None]
-        if uniform:
-            x[:, rows, :] = solved
-        else:
-            x[:, rows, :] = np.where(
-                absorbing[:, rows, None], x[:, rows, :], solved
-            )
-
-    return x
-
-
-def _solve_dag_batch_numba(
-    shared: BatchDagStructure,
-    values: np.ndarray,
-    numerators: np.ndarray,
-    boundary: np.ndarray,
-) -> np.ndarray:
-    """Jitted one-pass sweep: the fused kernel compiled and point-parallel.
-
-    Setup (out-rates, absorbing masks, boundary scatter, sentinel
-    extension) is byte-for-byte the fused kernel's — in particular
-    ``q`` keeps coming from :func:`_row_sums`, whose pairwise
-    ``np.add.reduceat`` grouping is what matches scipy's row sums; only
-    the level sweep itself moves into
-    :func:`repro.ctmc._numba_kernels.dag_sweep`, which fuses the
-    per-level gather → MAC → divide chain into one compiled pass with
-    the parallel axis on *points* (levels within a point stay
-    sequential). The jitted MAC accumulates in the same CSR slot order
-    from the same unseeded first term, so results are bit-identical to
-    the fused (and hence the numpy and per-point) kernels.
-    """
-    from ._numba_kernels import dag_sweep
-
-    P, n, k = numerators.shape
-
-    q = _row_sums(shared, values)
-    absorbing = q == 0.0
-    struct_abs = shared.structure.levels == 0
-    uniform = bool(np.array_equal(absorbing, np.broadcast_to(struct_abs, (P, n))))
-    if uniform:
-        x = np.zeros((P, n, k))
-        idx = np.flatnonzero(struct_abs)
-        x[:, idx, :] = boundary[:, idx, :]
-        safe_q = q  # levels >= 1 are non-absorbing for every point
-    else:
-        x = np.where(absorbing[:, :, None], boundary, 0.0)
-        safe_q = np.where(absorbing, 1.0, q)
-
-    vals_ext = np.concatenate([values, np.zeros((P, 1))], axis=1)
-    dag_sweep(
-        vals_ext,
-        shared.lvl_rows,
-        shared.lvl_row_bounds,
-        shared.lvl_ell_slots,
-        shared.lvl_ell_cols,
-        np.ascontiguousarray(numerators),
-        np.ascontiguousarray(safe_q),
-        np.ascontiguousarray(absorbing),
-        uniform,
-        x,
-    )
     return x

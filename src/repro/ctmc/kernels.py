@@ -1,145 +1,24 @@
-"""Kernel-tier selection for the batched solvers.
+"""Host probes for the benchmark's host record.
 
-Three tiers drive the batched DAG sweep and the batched uniformization
-matvec, all producing the same results:
-
-* ``numpy`` — the pre-fusion (PR 4) reference path: per-``j`` row
-  gathers with masked pads, COO-assembled stacked jump matrix;
-* ``fused`` — the PR 5 fused-gather path: sentinel-slot gather,
-  level-ordered contiguous views, pattern-permuted CSR assembly.
-  Bit-identical to ``numpy`` (same IEEE operation sequence);
-* ``numba`` — jitted single-pass kernels (:mod:`._numba_kernels`):
-  the per-level gather → multiply–accumulate chain fuses into one
-  compiled pass, parallelised over the point axis. Bit-identical to
-  ``fused`` (sequential accumulation in the same slot order); requires
-  the optional ``numba`` dependency (``pip install repro[kernels]``)
-  and silently degrades to ``fused`` when it is absent or the jit
-  fails (counted under ``solver.kernel_fallbacks`` /
-  ``solver.kernel_jit_failures``).
-
-Selection, most specific wins:
-
-1. an explicit ``kernel=`` argument to a solver entry point;
-2. an explicit legacy ``fused=`` boolean (``True`` → ``fused``,
-   ``False`` → ``numpy``);
-3. the ``REPRO_KERNEL`` environment variable (``numba|fused|numpy``,
-   set by the CLI ``--kernel`` flag);
-4. the legacy ``REPRO_FUSED_GATHER`` switch (default on → ``fused``,
-   ``0/off/false`` → ``numpy``).
+The batched solvers have one code path each (the fused level sweep in
+:mod:`.acyclic` and the fused-assembly uniformization in
+:mod:`.transient`). This module exists only because
+``perfbench/run.py`` imports both functions and records their values
+in every run's ``host`` line.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-from typing import Optional
+import importlib.util
 
-from ..errors import SolverError
-from ..obs import metrics
-
-__all__ = [
-    "KERNEL_CHOICES",
-    "fused_gather_enabled",
-    "numba_available",
-    "requested_kernel",
-    "resolve_kernel",
-]
-
-log = logging.getLogger(__name__)
-
-#: Recognised kernel tiers, fastest first.
-KERNEL_CHOICES = ("numba", "fused", "numpy")
-
-_NUMBA_AVAILABLE: Optional[bool] = None
-_WARNED_ENV = False
-_WARNED_FALLBACK = False
-
-
-def fused_gather_enabled() -> bool:
-    """Whether the fused-gather batch kernel is enabled (default: yes).
-
-    ``REPRO_FUSED_GATHER=0`` selects the pre-fusion (PR 4) code path —
-    same results bit-for-bit, kept for A/B benchmarking and as a
-    fallback; anything else (or unset) selects the fused kernel.
-    Superseded by ``REPRO_KERNEL`` when that is set.
-    """
-    return os.environ.get("REPRO_FUSED_GATHER", "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-    )
+__all__ = ["numba_available", "resolve_kernel"]
 
 
 def numba_available() -> bool:
-    """Whether the optional ``numba`` dependency imports (cached)."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        try:
-            import numba  # noqa: F401 — availability probe only
-
-            _NUMBA_AVAILABLE = True
-        except Exception:  # noqa: BLE001 — any import failure means "no"
-            _NUMBA_AVAILABLE = False
-    return _NUMBA_AVAILABLE
+    """Whether ``numba`` is installed (probed without importing it)."""
+    return importlib.util.find_spec("numba") is not None
 
 
-def requested_kernel() -> Optional[str]:
-    """The ``REPRO_KERNEL`` request, or ``None`` when unset/unrecognised.
-
-    An unrecognised value is ignored with a (one-shot) warning rather
-    than raised: a typo in an environment variable must not take down a
-    long campaign mid-run the way a bad CLI flag would be rejected up
-    front.
-    """
-    global _WARNED_ENV
-    raw = os.environ.get("REPRO_KERNEL")
-    if raw is None:
-        return None
-    name = raw.strip().lower()
-    if name in KERNEL_CHOICES:
-        return name
-    if not _WARNED_ENV:
-        log.warning(
-            "ignoring unrecognised REPRO_KERNEL=%r (choices: %s)",
-            raw,
-            "/".join(KERNEL_CHOICES),
-        )
-        _WARNED_ENV = True
-    return None
-
-
-def resolve_kernel(
-    kernel: Optional[str] = None, *, fused: Optional[bool] = None
-) -> str:
-    """Resolve the kernel tier a solver call will actually run.
-
-    ``kernel`` (validated — unknown names raise
-    :class:`~repro.errors.SolverError`) beats the legacy ``fused``
-    boolean, which beats ``REPRO_KERNEL``, which beats
-    ``REPRO_FUSED_GATHER``. A ``numba`` request degrades to ``fused``
-    when numba is not importable; the degradation is counted
-    (``solver.kernel_fallbacks``) and logged once.
-    """
-    global _WARNED_FALLBACK
-    if kernel is not None:
-        name = kernel.strip().lower()
-        if name not in KERNEL_CHOICES:
-            raise SolverError(
-                f"unknown kernel {kernel!r} (choices: {'/'.join(KERNEL_CHOICES)})"
-            )
-    elif fused is not None:
-        name = "fused" if fused else "numpy"
-    else:
-        name = requested_kernel()
-        if name is None:
-            name = "fused" if fused_gather_enabled() else "numpy"
-    if name == "numba" and not numba_available():
-        metrics().counter("solver.kernel_fallbacks").add()
-        if not _WARNED_FALLBACK:
-            log.warning(
-                "kernel 'numba' requested but numba is not installed; "
-                "falling back to 'fused' (pip install repro[kernels])"
-            )
-            _WARNED_FALLBACK = True
-        name = "fused"
-    return name
+def resolve_kernel() -> str:
+    """The batched solvers' kernel: always ``"fused"``."""
+    return "fused"

@@ -8,26 +8,26 @@ absorbing-chain sweeps against an independent numerical method.
 Two entry layers:
 
 * :func:`transient_distribution` / :func:`absorption_cdf` — one
-  :class:`~repro.ctmc.chain.CTMC` at a time (the historical API);
+  :class:`~repro.ctmc.chain.CTMC` at a time (the historical API, and
+  the oracle for the batched layer);
 * :func:`transient_distribution_batch` / :func:`absorption_cdf_batch` —
   ``P`` chains sharing one CSR sparsity pattern (the
   :class:`~repro.core.fastpath.LatticeStructure` sweep shape), solved
   with one shared power sequence. Per point the batch uses its *own*
   uniformization rate and truncated Poisson weights, so the result is
   numerically equivalent to the per-point function; only the floating-
-  point summation order differs (batched gather/reduceat vs scipy's
-  matvec), which keeps the two within :data:`BATCH_EQUIVALENCE_RTOL`
-  relative error on the reproduction's chains (asserted by the
-  differential test layer). The batched sweep additionally reuses one
-  power sequence ``π(0)Pᵏ`` for *every* requested time point, instead
-  of restarting per time like the per-point loop — the dominant saving
-  on time-grid survivability campaigns.
+  point summation order differs (one stacked block-diagonal CSR matvec
+  vs scipy's per-chain matvec), which keeps the two within
+  :data:`BATCH_EQUIVALENCE_RTOL` relative error on the reproduction's
+  chains (asserted by the differential test layer, and against a dense
+  ``expm`` oracle). The batched sweep additionally reuses one power
+  sequence ``π(0)Pᵏ`` for *every* requested time point, instead of
+  restarting per time like the per-point loop — the dominant saving on
+  time-grid survivability campaigns.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -35,79 +35,22 @@ import numpy as np
 from ..errors import ParameterError, SolverError
 from ..obs import metrics, span
 from .chain import CTMC
-from .kernels import resolve_kernel
 from .poisson import poisson_weights
 
 __all__ = [
     "BATCH_EQUIVALENCE_RTOL",
-    "EXPM_EQUIVALENCE_RTOL",
-    "TRANSIENT_BACKEND_CHOICES",
     "transient_distribution",
     "absorption_cdf",
     "transient_distribution_batch",
     "absorption_cdf_batch",
     "csr_row_sums",
-    "resolve_transient_backend",
 ]
-
-log = logging.getLogger(__name__)
 
 #: Documented equivalence bound between the batched and per-point
 #: uniformization paths: same weights, same truncation, different IEEE
 #: summation order. Differential tests assert agreement to this
 #: relative tolerance (probabilities additionally to ``atol=1e-12``).
 BATCH_EQUIVALENCE_RTOL = 1e-9
-
-#: Documented equivalence bound between the ``expm`` transient backend
-#: (:func:`scipy.sparse.linalg.expm_multiply`, scaling-and-squaring
-#: Taylor with its own internal error control) and uniformization.
-#: These are *different algorithms*, not reorderings of one algorithm,
-#: so the contract is a pinned tolerance, not bit-identity; the
-#: differential tests assert it on the reproduction's mission grids
-#: (probabilities additionally to ``atol=1e-10``).
-EXPM_EQUIVALENCE_RTOL = 1e-6
-
-#: Recognised transient solver backends. ``uniformization`` (default)
-#: costs ``O(Λ·t_max)`` matvecs — exact to truncation mass ``eps`` but
-#: ruinous on multi-hour grids where ``Λ ≈ 1e3/s``; ``expm`` steps the
-#: stacked generator with :func:`scipy.sparse.linalg.expm_multiply`,
-#: whose cost scales with the grid's *step count*, not ``Λ·t_max``.
-TRANSIENT_BACKEND_CHOICES = ("uniformization", "expm")
-
-_WARNED_BACKEND_ENV = False
-
-
-def resolve_transient_backend(backend: Optional[str] = None) -> str:
-    """Resolve the transient backend: explicit argument, else env.
-
-    An explicit unknown ``backend`` raises
-    :class:`~repro.errors.SolverError`; an unrecognised
-    ``REPRO_TRANSIENT_BACKEND`` value is ignored with a one-shot
-    warning (an env typo must not kill a campaign mid-run).
-    """
-    global _WARNED_BACKEND_ENV
-    if backend is not None:
-        name = backend.strip().lower()
-        if name not in TRANSIENT_BACKEND_CHOICES:
-            raise SolverError(
-                f"unknown transient backend {backend!r} "
-                f"(choices: {'/'.join(TRANSIENT_BACKEND_CHOICES)})"
-            )
-        return name
-    raw = os.environ.get("REPRO_TRANSIENT_BACKEND")
-    if raw is None:
-        return "uniformization"
-    name = raw.strip().lower()
-    if name in TRANSIENT_BACKEND_CHOICES:
-        return name
-    if not _WARNED_BACKEND_ENV:
-        log.warning(
-            "ignoring unrecognised REPRO_TRANSIENT_BACKEND=%r (choices: %s)",
-            raw,
-            "/".join(TRANSIENT_BACKEND_CHOICES),
-        )
-        _WARNED_BACKEND_ENV = True
-    return "uniformization"
 
 
 def transient_distribution(
@@ -219,44 +162,17 @@ def _stacked_jump_matrix(
     matrix–vector product on the stacked state vector — the CSR matvec
     kernel, not a Python-level gather/reduce chain, which is what makes
     the batched sweep fast at full lattice sizes.
+
+    The canonical CSR layout of one transposed ``n × n`` block
+    (off-diagonal slots + full diagonal) depends only on the shared
+    pattern, so it is computed once — a lexsort of ``nnz + n`` entries —
+    and every point's data row is one permuted gather of its
+    ``[values/Λ_p, 1 − q/Λ_p]`` concatenation. The stacked index arrays
+    are the block's, offset per point.
     """
     import scipy.sparse as sp
 
     num_points, n = q.shape
-    deg = np.diff(indptr)
-    slot_rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-    if indices.size and np.any(indices == slot_rows):
-        raise SolverError(
-            "pattern must not contain diagonal entries (self-loops have "
-            "no meaning in a CTMC; the per-point path drops them)"
-        )
-    offsets = (np.arange(num_points, dtype=np.int64) * n)[:, None]
-    diag_cols = np.arange(n, dtype=np.int64)[None, :] + offsets
-    rows = np.concatenate(
-        [(indices[None, :] + offsets).ravel(), diag_cols.ravel()]
-    )
-    cols = np.concatenate(
-        [(slot_rows[None, :] + offsets).ravel(), diag_cols.ravel()]
-    )
-    data = np.concatenate(
-        [(values / lam[:, None]).ravel(), (1.0 - q / lam[:, None]).ravel()]
-    )
-    size = num_points * n
-    return sp.csr_matrix((data, (rows, cols)), shape=(size, size))
-
-
-def _block_csr_pattern(
-    indptr: np.ndarray, indices: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical CSR layout of one transposed ``n × n`` block.
-
-    The block pattern (off-diagonal transposed slots + full diagonal)
-    is a pure function of the shared sparsity pattern, so it is
-    computed once per call — a lexsort of ``nnz + n`` entries — and
-    reused by every point: returns ``(block_indptr, block_indices,
-    perm)`` where ``perm`` maps a point's ``[values·…, diagonal·…]``
-    concatenation into canonical slot order.
-    """
     deg = np.diff(indptr)
     slot_rows = np.repeat(np.arange(n, dtype=np.int64), deg)
     if indices.size and np.any(indices == slot_rows):
@@ -272,29 +188,14 @@ def _block_csr_pattern(
     block_indices = cols_all[perm]
     block_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows_all, minlength=n), out=block_indptr[1:])
-    return block_indptr, block_indices, perm
+    data = np.concatenate([values / lam[:, None], 1.0 - q / lam[:, None]], axis=1)
+    data = data[:, perm]
 
-
-def _stack_block_csr(
-    block_indptr: np.ndarray,
-    block_indices: np.ndarray,
-    data: np.ndarray,
-    n: int,
-):
-    """One ``(P·n, P·n)`` block-diagonal scipy CSR from per-point data.
-
-    ``data`` is ``(P, block_nnz)`` in canonical block slot order (the
-    :func:`_block_csr_pattern` permutation already applied).
-    """
-    import scipy.sparse as sp
-
-    num_points, block_nnz = data.shape
+    block_nnz = block_indices.size
     size = num_points * n
     total_nnz = num_points * block_nnz
     idx_dtype = (
-        np.int32
-        if max(size, total_nnz) <= np.iinfo(np.int32).max
-        else np.int64
+        np.int32 if max(size, total_nnz) <= np.iinfo(np.int32).max else np.int64
     )
     row_off = (np.arange(num_points, dtype=np.int64) * block_nnz)[:, None]
     stacked_indptr = np.empty(size + 1, dtype=idx_dtype)
@@ -307,75 +208,6 @@ def _stack_block_csr(
     return sp.csr_matrix(
         (data.ravel(), stacked_indices, stacked_indptr), shape=(size, size)
     )
-
-
-def _block_jump_data(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    q: np.ndarray,
-    lam: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point jump-chain data rows in canonical block slot order.
-
-    Returns ``(block_indptr, block_indices, data)`` with ``data`` of
-    shape ``(P, block_nnz)`` holding ``P_p = I + Q_p/Λ_p`` transposed —
-    the exact value multiset :func:`_stacked_jump_matrix` stores, in
-    the canonical order scipy's COO→CSR conversion produces.
-    """
-    num_points, n = q.shape
-    block_indptr, block_indices, perm = _block_csr_pattern(indptr, indices, n)
-    data = np.ascontiguousarray(
-        np.concatenate(
-            [values / lam[:, None], 1.0 - q / lam[:, None]], axis=1
-        )[:, perm]
-    )
-    return block_indptr, block_indices, data
-
-
-def _stacked_jump_matrix_fused(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    q: np.ndarray,
-    lam: np.ndarray,
-):
-    """The same matrix as :func:`_stacked_jump_matrix`, assembled fused.
-
-    The canonical CSR layout of one ``n × n`` block is computed once
-    (:func:`_block_csr_pattern`) — a lexsort of ``nnz + n`` entries
-    instead of the COO conversion's sort over the ``P``-times-larger
-    stacked coordinate list — and every point's data row is one
-    permuted gather. The result is the identical canonical matrix
-    (same values in the same slots), so the power sequence it advances
-    is bit-for-bit the legacy one.
-    """
-    n = q.shape[1]
-    block_indptr, block_indices, data = _block_jump_data(
-        indptr, indices, values, q, lam
-    )
-    return _stack_block_csr(block_indptr, block_indices, data, n)
-
-
-def _stacked_generator_matrix(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    q: np.ndarray,
-):
-    """Block-diagonal transposed generator ``diag(Q_pᵀ)`` as one CSR.
-
-    The ``expm`` backend's operator: off-diagonal rates transposed,
-    ``-q`` on the diagonal, one block per point — so
-    ``exp(Qᵀ·dt) @ flat`` advances every point's distribution by
-    ``dt`` in a single :func:`~scipy.sparse.linalg.expm_multiply`.
-    """
-    num_points, n = q.shape
-    block_indptr, block_indices, perm = _block_csr_pattern(indptr, indices, n)
-    data = np.ascontiguousarray(
-        np.concatenate([values, -q], axis=1)[:, perm]
-    )
-    return _stack_block_csr(block_indptr, block_indices, data, n)
 
 
 def csr_row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -424,42 +256,6 @@ def _batch_initial(
     return np.clip(dist, 0.0, None) / sums[:, None]
 
 
-def _transient_batch_expm(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    q: np.ndarray,
-    ts: np.ndarray,
-    pi0: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Advance every point's distribution with ``expm_multiply`` steps.
-
-    The time grid is visited in sorted order and each step evolves the
-    stacked state vector by the *increment* ``exp(Qᵀ·dt)``, so the
-    whole grid costs one Krylov-free ``expm_multiply`` per distinct
-    positive step — independent of ``Λ·t_max``, which is what makes
-    multi-hour mission grids affordable (uniformization pays
-    ``Λ·t_max`` matvecs regardless of how few grid points there are).
-    Returns ``(out, steps)`` with ``out`` of shape ``(P, T, n)``.
-    """
-    from scipy.sparse.linalg import expm_multiply
-
-    num_points, n = pi0.shape
-    gen_t = _stacked_generator_matrix(indptr, indices, values, q)
-    out = np.empty((num_points, ts.size, n))
-    flat = pi0.reshape(-1).copy()
-    prev = 0.0
-    steps = 0
-    for ti in np.argsort(ts, kind="stable"):
-        dt = float(ts[ti] - prev)
-        if dt > 0.0:
-            flat = expm_multiply(gen_t * dt, flat)
-            prev = float(ts[ti])
-            steps += 1
-        out[:, ti, :] = flat.reshape(num_points, n)
-    return out, steps
-
-
 def transient_distribution_batch(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -468,9 +264,6 @@ def transient_distribution_batch(
     initial: Union[int, np.ndarray] = 0,
     *,
     eps: float = 1e-12,
-    fused: Optional[bool] = None,
-    kernel: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """State probability vectors for ``P`` rate fills of one pattern.
 
@@ -497,31 +290,10 @@ def transient_distribution_batch(
     :func:`transient_distribution` per point (each point keeps its own
     uniformization rate ``Λ_p = max_i q_i^p`` and its own truncated
     Poisson weights; see :data:`BATCH_EQUIVALENCE_RTOL`). One shared
-    power sequence serves every requested time point.
-
-    ``kernel`` (``"numba"``/``"fused"``/``"numpy"``; ``None`` follows
-    ``REPRO_KERNEL`` then the legacy ``fused``/``REPRO_FUSED_GATHER``
-    switches — see :func:`repro.ctmc.kernels.resolve_kernel`) selects
-    the power-sequence matvec tier. ``fused`` assembles the stacked
-    jump matrix from a once-per-call pattern permutation instead of a
-    ``P``-times-larger COO sort and accumulates Poisson windows over a
-    time-major layout whose per-time slices are contiguous; ``numba``
-    replaces the scipy matvec with a jitted per-block CSR matvec
-    (parallel over points) whose sequential slot-order accumulation is
-    the exact scipy sequence. All three tiers produce the identical
-    matrix values and the identical addition sequence, so results are
-    equal bit-for-bit across tiers (and all stay within
-    :data:`BATCH_EQUIVALENCE_RTOL` of the per-point path).
-
-    ``backend`` (``"uniformization"``/``"expm"``; ``None`` follows
-    ``REPRO_TRANSIENT_BACKEND``, default uniformization) swaps the
-    algorithm itself: ``expm`` advances the stacked generator with
-    :func:`scipy.sparse.linalg.expm_multiply` increments over the
-    sorted time grid — ``O(steps)`` instead of ``O(Λ·t_max)``, the
-    multi-hour-grid escape hatch — and agrees with uniformization to
-    :data:`EXPM_EQUIVALENCE_RTOL` (a pinned tolerance, not
-    bit-identity: it is a different algorithm). ``eps`` and ``kernel``
-    only affect the uniformization backend.
+    power sequence serves every requested time point: each step is one
+    matvec with the stacked jump matrix (:func:`_stacked_jump_matrix`),
+    and the Poisson windows accumulate into a time-major layout whose
+    per-time ``(P, n)`` slices are contiguous.
     """
     indptr, indices, n = _validate_pattern(indptr, indices)
     values = np.asarray(values, dtype=float)
@@ -545,27 +317,6 @@ def transient_distribution_batch(
         return empty[:, 0, :] if scalar else empty
 
     q = csr_row_sums(indptr, values)
-
-    backend_name = resolve_transient_backend(backend)
-    if backend_name == "expm":
-        kernel_name = resolve_kernel(kernel, fused=fused)
-        with span(
-            "transient_batch",
-            points=num_points,
-            times=num_times,
-            kernel=kernel_name,
-            backend="expm",
-        ):
-            out, steps = _transient_batch_expm(
-                indptr, indices, values, q, ts, pi0
-            )
-        registry = metrics()
-        registry.counter("solver.transient_batch_solves").add()
-        registry.counter("solver.transient_points_solved").add(num_points)
-        registry.counter("solver.expm_steps").add(steps)
-        np.clip(out, 0.0, None, out=out)
-        out /= out.sum(axis=2, keepdims=True)
-        return out[:, 0, :] if scalar else out
 
     # Uniformization constants (Λ_p ≥ max q_i, strictly positive even
     # for an all-absorbing fill — matching ``CTMC.uniformization_rate``).
@@ -599,80 +350,27 @@ def transient_distribution_batch(
         windows.append((lo, hi, block))
     k_max = max(hi for _, hi, _ in windows)
 
-    # Shared power sequence: v_k = π(0) P_pᵏ per point. All points
-    # advance with one stacked CSR matvec per step (block-diagonal
-    # transposed jump matrices — see :func:`_stacked_jump_matrix`),
-    # or with the jitted per-block matvec on the ``numba`` tier.
-    kernel_name = resolve_kernel(kernel, fused=fused)
-    matvec = None
-    if kernel_name == "numba":
-        try:
-            from ._numba_kernels import ensure_compiled, stacked_matvec
+    # Shared power sequence: v_k = π(0) P_pᵏ per point, all points
+    # advanced by one stacked CSR matvec per step.
+    jump_t = _stacked_jump_matrix(indptr, indices, values, q, lam)
 
-            ensure_compiled()
-            matvec = stacked_matvec
-        except Exception:  # noqa: BLE001 — jit failure must not kill a solve
-            metrics().counter("solver.kernel_jit_failures").add()
-            kernel_name = "fused"
-    if matvec is not None:
-        block_indptr, block_indices, block_data = _block_jump_data(
-            indptr, indices, values, q, lam
-        )
-        jump_t = None
-    else:
-        build = (
-            _stacked_jump_matrix_fused
-            if kernel_name == "fused"
-            else _stacked_jump_matrix
-        )
-        jump_t = build(indptr, indices, values, q, lam)
-
-    flat = pi0.ravel().copy()
-    with span(
-        "transient_batch",
-        points=num_points,
-        times=num_times,
-        steps=k_max + 1,
-        kernel=kernel_name,
-        backend="uniformization",
-    ):
-        if kernel_name == "numpy":
-            out = np.zeros((num_points, num_times, n))
-            for k in range(k_max + 1):
-                v = flat.reshape(num_points, n)
-                for ti, (lo, hi, block) in enumerate(windows):
-                    if lo <= k <= hi:
-                        out[:, ti, :] += block[:, k - lo, None] * v
-                if k == k_max:
-                    break
-                flat = jump_t @ flat
-        else:
-            # Time-major accumulator: out_t[ti] is a contiguous (P, n)
-            # block, so the per-step weight accumulation writes
-            # unit-stride memory instead of the (P, T, n) layout's
-            # strided slices. Same additions in the same order —
-            # transposed back at the end. Shared by the fused and numba
-            # tiers, whose matvecs produce bit-equal sequences.
-            los = np.array([lo for lo, _, _ in windows], dtype=np.int64)
-            his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
-            blocks_t = [
-                np.ascontiguousarray(block.T) for _, _, block in windows
-            ]
-            out_t = np.zeros((num_times, num_points, n))
-            v = flat.reshape(num_points, n)
-            for k in range(k_max + 1):
-                active = np.flatnonzero((los <= k) & (k <= his))
-                for ti in active:
-                    out_t[ti] += blocks_t[ti][k - los[ti]][:, None] * v
-                if k == k_max:
-                    break
-                if matvec is not None:
-                    nxt = np.empty_like(v)
-                    matvec(block_indptr, block_indices, block_data, v, nxt)
-                    v = nxt
-                else:
-                    v = (jump_t @ v.reshape(-1)).reshape(num_points, n)
-            out = np.ascontiguousarray(out_t.transpose(1, 0, 2))
+    with span("transient_batch", points=num_points, times=num_times, steps=k_max + 1):
+        # Time-major accumulator: out_t[ti] is a contiguous (P, n)
+        # block, so the per-step weight accumulation writes unit-stride
+        # memory; transposed back to (P, T, n) at the end.
+        los = np.array([lo for lo, _, _ in windows], dtype=np.int64)
+        his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
+        blocks_t = [np.ascontiguousarray(block.T) for _, _, block in windows]
+        out_t = np.zeros((num_times, num_points, n))
+        v = pi0
+        for k in range(k_max + 1):
+            active = np.flatnonzero((los <= k) & (k <= his))
+            for ti in active:
+                out_t[ti] += blocks_t[ti][k - los[ti]][:, None] * v
+            if k == k_max:
+                break
+            v = (jump_t @ v.reshape(-1)).reshape(num_points, n)
+        out = np.ascontiguousarray(out_t.transpose(1, 0, 2))
     registry = metrics()
     registry.counter("solver.transient_batch_solves").add()
     registry.counter("solver.transient_points_solved").add(num_points)
@@ -694,8 +392,6 @@ def absorption_cdf_batch(
     *,
     classes: Optional[Mapping[str, Sequence[int]]] = None,
     eps: float = 1e-12,
-    kernel: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> dict[str, np.ndarray]:
     """Absorption-time CDFs for ``P`` rate fills of one pattern.
 
@@ -712,8 +408,6 @@ def absorption_cdf_batch(
         np.asarray(times, dtype=float),
         initial,
         eps=eps,
-        kernel=kernel,
-        backend=backend,
     )
     indptr = np.asarray(indptr, dtype=np.int64)
     n = indptr.size - 1

@@ -82,47 +82,22 @@ __all__ = [
 ]
 
 
-#: Environment switches that pick solver kernels/backends. Snapshotted
-#: in the parent at pool creation and re-applied in every worker, so a
-#: kernel chosen programmatically (``os.environ`` mutated after other
-#: modules cached state, exec'd workers with a scrubbed environment, …)
-#: binds the whole pool, not just the parent — a mixed-kernel pool
-#: would silently break A/B benchmarking even though results agree.
-_KERNEL_ENV_VARS = (
-    "REPRO_KERNEL",
-    "REPRO_FUSED_GATHER",
-    "REPRO_TRANSIENT_BACKEND",
-)
+def _init_pool_worker(obs_config) -> None:
+    """Pool initializer: the parent's observability handoff.
 
-
-def _kernel_env_snapshot() -> dict:
-    """The parent's kernel/backend env selection, for worker handoff."""
-    return {
-        name: os.environ[name]
-        for name in _KERNEL_ENV_VARS
-        if name in os.environ
-    }
-
-
-def _init_pool_worker(obs_config, kernel_env=None) -> None:
-    """Composed pool initializer: obs handoff + kernel env.
-
-    Runs once per worker process: observability first (so the
-    ``worker.init`` span is traced when tracing is on), then the
-    parent's kernel selection.
+    Runs once per worker process, so the ``worker.init`` span is traced
+    when tracing is on.
     """
     init_worker(obs_config)
-    for name, value in (kernel_env or {}).items():
-        os.environ[name] = value
     with span("worker.init"):
         metrics().counter("pool.workers_initialized").add()
 
 
 def _pool_init_kwargs() -> dict:
-    """ProcessPoolExecutor initializer kwargs (obs + kernel env)."""
+    """ProcessPoolExecutor initializer kwargs (obs handoff)."""
     return {
         "initializer": _init_pool_worker,
-        "initargs": (worker_config(), _kernel_env_snapshot()),
+        "initargs": (worker_config(),),
     }
 
 

@@ -23,7 +23,6 @@ from .manifest import (
     MANIFEST_SCHEMA_VERSION,
     RunManifest,
     git_revision,
-    kernel_flags,
     params_digest,
 )
 from .metrics import (
@@ -82,7 +81,6 @@ __all__ = [
     "enable_tracing",
     "git_revision",
     "init_worker",
-    "kernel_flags",
     "metrics",
     "params_digest",
     "record_batch_report",

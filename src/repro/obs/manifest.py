@@ -2,10 +2,11 @@
 
 A :class:`RunManifest` is a small JSON document written next to the
 artifacts of a campaign that answers "what exactly produced this file?":
-the params digest, git revision, backend, kernel feature flags, phase
-timings, cache statistics, errors (with worker-side tracebacks), and a
-metrics summary.  The schema is versioned and covered by a stability
-test — downstream tooling may rely on the top-level keys.
+the params digest, git revision, backend, phase timings, cache
+statistics, errors (with worker-side tracebacks), and a metrics
+summary.  The schema is versioned and covered by a stability test —
+downstream tooling may rely on the top-level keys.  Version 2 dropped
+the kernel-selection key, since the batched solvers have one code path.
 """
 
 from __future__ import annotations
@@ -25,19 +26,10 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "RunManifest",
     "git_revision",
-    "kernel_flags",
     "params_digest",
 ]
 
-MANIFEST_SCHEMA_VERSION = 1
-
-# Environment switches that change which kernels/paths run.  Recorded
-# raw (as set) and resolved (what the code will actually do).
-_KERNEL_ENV_VARS = (
-    "REPRO_KERNEL",
-    "REPRO_FUSED_GATHER",
-    "REPRO_TRANSIENT_BACKEND",
-)
+MANIFEST_SCHEMA_VERSION = 2
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
@@ -60,48 +52,6 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
     return proc.stdout.strip() or None
 
 
-def _env_flag_default_on(name: str) -> bool:
-    # Mirrors ``kernels.fused_gather_enabled`` exactly (obs stays
-    # import-light, so the resolution is duplicated here).
-    return os.environ.get(name, "1").strip().lower() not in ("0", "off", "false")
-
-
-def _resolved_kernel() -> str:
-    # Mirrors ``repro.ctmc.kernels.resolve_kernel`` without importing
-    # the solver stack: REPRO_KERNEL beats the legacy fused switch, and
-    # a numba request degrades to fused when numba isn't installed
-    # (checked via find_spec so obs never actually imports numba).
-    # Best-effort: a jit *failure* at solve time isn't visible here.
-    requested = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if requested not in ("numba", "fused", "numpy"):
-        requested = (
-            "fused" if _env_flag_default_on("REPRO_FUSED_GATHER") else "numpy"
-        )
-    if requested == "numba":
-        import importlib.util
-
-        if importlib.util.find_spec("numba") is None:
-            return "fused"
-    return requested
-
-
-def _resolved_transient_backend() -> str:
-    # Mirrors ``repro.ctmc.transient.resolve_transient_backend``:
-    # unrecognised values fall back to the default, never raise.
-    raw = os.environ.get("REPRO_TRANSIENT_BACKEND", "").strip().lower()
-    return raw if raw in ("uniformization", "expm") else "uniformization"
-
-
-def kernel_flags() -> Dict[str, object]:
-    """Raw and resolved kernel/backend switches, plus the raw env."""
-    return {
-        "kernel": _resolved_kernel(),
-        "fused_gather": _env_flag_default_on("REPRO_FUSED_GATHER"),
-        "transient_backend": _resolved_transient_backend(),
-        "env": {name: os.environ.get(name) for name in _KERNEL_ENV_VARS},
-    }
-
-
 def params_digest(fingerprints: Iterable[str]) -> str:
     """Order-independent SHA-256 over a campaign's request fingerprints."""
     digest = hashlib.sha256()
@@ -119,7 +69,6 @@ class RunManifest:
     backend: Optional[str] = None
     params_digest: Optional[str] = None
     git_sha: Optional[str] = None
-    kernel_flags: Dict[str, object] = field(default_factory=kernel_flags)
     reports: List[dict] = field(default_factory=list)
     cache_stats: Optional[dict] = None
     errors: List[dict] = field(default_factory=list)
@@ -152,7 +101,6 @@ class RunManifest:
             "python": self.python,
             "backend": self.backend,
             "params_digest": self.params_digest,
-            "kernel_flags": self.kernel_flags,
             "reports": self.reports,
             "cache_stats": self.cache_stats,
             "errors": self.errors,

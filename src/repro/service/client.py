@@ -139,11 +139,10 @@ class ServiceClient:
         pid: int,
         host: str = "",
         backend: str = "serial",
-        kernel: str = "fused",
     ) -> WorkerRegistered:
         """Join the server's worker pool; returns id + pool cadence."""
         body = WorkerRegistration(
-            name=name, pid=pid, host=host, backend=backend, kernel=kernel
+            name=name, pid=pid, host=host, backend=backend
         ).to_dict()
         return WorkerRegistered.from_dict(self._post("/api/v1/workers", body))
 

@@ -192,10 +192,6 @@ class WorkerInfo:
     pid: int
     host: str
     backend: str
-    #: Advertised solver tier (``numba``/``fused``/``numpy``) — advisory
-    #: roster information; never a scheduling input (tiers agree
-    #: bit-for-bit, so placement on it would buy nothing).
-    kernel: str
     registered_at: float
     last_seen: float
     state: str = "idle"  # idle | busy | quarantined | lost
@@ -225,7 +221,6 @@ class WorkerInfo:
             "pid": self.pid,
             "host": self.host,
             "backend": self.backend,
-            "kernel": self.kernel,
             "state": state,
             "leases": sorted(self.leases),
             "last_heartbeat_age_s": round(age, 3),
@@ -379,7 +374,6 @@ class WorkerPool:
                 pid=registration.pid,
                 host=registration.host,
                 backend=registration.backend,
-                kernel=registration.kernel,
                 registered_at=now,
                 last_seen=now,
             )

@@ -65,9 +65,10 @@ __all__ = [
 #: checked on submit payloads that declare one) so mixed-version fleets
 #: fail loudly instead of misparsing each other.  v2 added the
 #: scheduling fields: ``ChunkLease.speculative`` and
-#: ``ChunkReport.elapsed_s``.  v3 added the
-#: ``WorkerRegistration.kernel`` capability echo (advisory — absent
-#: values parse as ``fused``).
+#: ``ChunkReport.elapsed_s``.  v3 added the advisory
+#: ``WorkerRegistration`` kernel echo, which is no longer sent or
+#: reported now that the solvers have one kernel; registrations that
+#: still carry it are accepted and the field is ignored.
 PROTOCOL_VERSION = 3
 
 #: Maximum request-body size the server accepts (16 MiB — a full
@@ -417,19 +418,15 @@ class WorkerRegistration:
     """Body of ``POST /api/v1/workers``: who is offering to evaluate.
 
     ``backend`` is the worker's *local* backend label (what it will run
-    leased chunks on) and ``kernel`` its resolved solver tier
-    (``numba``/``fused``/``numpy``); both are recorded in the
-    ``/health`` roster so an operator can see the pool's composition —
-    and a mixed pool's kernel capabilities — at a glance. ``kernel``
-    is advisory (every tier is bit-identical, so the scheduler never
-    routes on it) and tolerated absent for pre-v3 workers.
+    leased chunks on); it is recorded in the ``/health`` roster so an
+    operator can see the pool's composition at a glance. A ``kernel``
+    key sent by older workers is ignored.
     """
 
     name: str
     pid: int
     host: str
     backend: str = "serial"
-    kernel: str = "fused"
 
     def to_dict(self) -> dict:
         """JSON-ready registration body."""
@@ -439,7 +436,6 @@ class WorkerRegistration:
             "pid": self.pid,
             "host": self.host,
             "backend": self.backend,
-            "kernel": self.kernel,
         }
 
     @classmethod
@@ -459,7 +455,6 @@ class WorkerRegistration:
             pid=pid,
             host=str(data.get("host", "")),
             backend=str(data.get("backend", "serial")),
-            kernel=str(data.get("kernel", "fused")),
         )
 
 

@@ -143,16 +143,11 @@ class ServiceWorker:
     # Internals
     # ------------------------------------------------------------------
     def _register(self) -> None:
-        from ..ctmc.kernels import resolve_kernel
-
         registered = self.client.register_worker(
             name=self.name,
             pid=os.getpid(),
             host=socket.gethostname(),
             backend=self.backend.describe(),
-            # Resolved (not requested) tier: a numba request on a host
-            # without numba advertises the fused fallback it will run.
-            kernel=resolve_kernel(),
         )
         self.worker_id = registered.worker_id
         self._heartbeat_interval = registered.heartbeat_interval_s

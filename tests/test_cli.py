@@ -212,7 +212,7 @@ class TestObservabilityFlags:
         assert merged["engine.evaluated"]["value"] == 2
 
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         assert manifest["backend"] == "serial"
         assert len(manifest["params_digest"]) == 64
         # The manifest report mirrors the artifact's own report counts.

@@ -39,7 +39,6 @@ from repro.obs import (
     default_bin_edges,
     disable_tracing,
     enable_tracing,
-    kernel_flags,
     metrics,
     params_digest,
     records_from_dicts,
@@ -442,7 +441,6 @@ class TestManifest:
         "python",
         "backend",
         "params_digest",
-        "kernel_flags",
         "reports",
         "cache_stats",
         "errors",
@@ -453,16 +451,7 @@ class TestManifest:
         manifest = RunManifest(command="repro-experiments sweep")
         payload = manifest.finalize().to_dict()
         assert list(payload) == self.EXPECTED_KEYS
-        assert payload["schema_version"] == MANIFEST_SCHEMA_VERSION == 1
-
-    def test_kernel_flags_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSED_GATHER", raising=False)
-        assert kernel_flags()["fused_gather"] is True
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "off")
-        flags = kernel_flags()
-        assert flags["fused_gather"] is False
-        assert flags["env"]["REPRO_FUSED_GATHER"] == "off"
-        assert list(flags) == ["kernel", "fused_gather", "transient_backend", "env"]
+        assert payload["schema_version"] == MANIFEST_SCHEMA_VERSION == 2
 
     def test_params_digest_is_order_independent(self):
         assert params_digest(["b", "a"]) == params_digest(["a", "b"])

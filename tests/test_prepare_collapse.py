@@ -230,8 +230,7 @@ def test_index_space_invariants(n):
     # process-wide, so a write must fail rather than poison later points.
     held = _held_arrays(s)
     dag = (
-        "indptr indices slot_rows ell_cols ell_slots ell_pad "
-        "lvl_rows lvl_row_bounds lvl_ell_slots lvl_ell_cols"
+        "indptr indices slot_rows lvl_row_bounds lvl_ell_slots lvl_ell_cols"
     ).split()
     assert set(held) >= {
         *"t u d state_id c2_states depletion_states indptr indices".split(),

@@ -201,7 +201,7 @@ class TestIdempotencyAndRecovery:
         (job,) = client.jobs()
         assert job.manifest_path is not None
         manifest = json.loads(open(job.manifest_path).read())
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         assert manifest["params_digest"] == job.job_id
         assert manifest["backend"] == "serial"
         (report,) = manifest["reports"]

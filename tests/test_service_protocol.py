@@ -28,6 +28,7 @@ from repro.service.protocol import (
     ProtocolError,
     SubmitRequest,
     SubmitResponse,
+    WorkerRegistration,
     job_id_for,
     outcome_entry_to_dict,
 )
@@ -224,3 +225,28 @@ class TestStatusAndFetchPayloads:
         assert entry == {"index": 3, "source": "evaluated", "result": {"a": 1}}
         bare = outcome_entry_to_dict(0, "cache")
         assert "result" not in bare and "error" not in bare
+
+
+class TestWorkerRegistration:
+    def test_round_trip_sends_no_kernel(self):
+        registration = WorkerRegistration(
+            name="w", pid=7, host="host-a", backend="vector"
+        )
+        payload = _json_round_trip(registration.to_dict())
+        assert "kernel" not in payload
+        assert WorkerRegistration.from_dict(payload) == registration
+
+    def test_kernel_echo_from_older_worker_accepted(self):
+        # Workers built while protocol v3 carried the kernel echo still
+        # send it; their registrations must keep parsing.
+        body = {
+            "protocol_version": 3,
+            "name": "old",
+            "pid": 11,
+            "host": "host-b",
+            "backend": "serial",
+            "kernel": "numba",
+        }
+        assert WorkerRegistration.from_dict(body) == WorkerRegistration(
+            name="old", pid=11, host="host-b", backend="serial"
+        )

@@ -660,96 +660,103 @@ class TestSurvivabilityCli:
 
 
 # ---------------------------------------------------------------------------
-# Fused-gather variant of the batched uniformization
+# Stacked jump-matrix assembly and an independent dense oracle
 # ---------------------------------------------------------------------------
 
-class TestFusedTransientKernel:
-    """Fused on/off must produce the identical distributions."""
+def _paper_fills(scenarios):
+    from repro.core.fastpath import fill_transition_rates, lattice_structure
+    from repro.core.metrics import resolve_network
+    from repro.core.rates import GCSRates
 
-    def _fills(self):
-        from repro.core.fastpath import fill_transition_rates, lattice_structure
-        from repro.core.metrics import resolve_network
-        from repro.core.rates import GCSRates
-
-        structure = lattice_structure(N_TEST)
-        scenarios = [
-            GCSParameters.paper_defaults(
-                num_nodes=N_TEST, detection_interval_s=t
-            )
-            for t in (15.0, 60.0, 240.0)
+    structure = lattice_structure(scenarios[0].num_nodes)
+    values = np.stack(
+        [
+            fill_transition_rates(
+                structure,
+                GCSRates.from_scenario(p, resolve_network(p, None)),
+            ).values
+            for p in scenarios
         ]
-        values = np.stack(
-            [
-                fill_transition_rates(
-                    structure,
-                    GCSRates.from_scenario(p, resolve_network(p, None)),
-                ).values
-                for p in scenarios
-            ]
-        )
-        return structure, values
+    )
+    return structure, values
+
+
+def _coo_jump_matrix(indptr, indices, values, q, lam):
+    """Reference assembly of ``diag(P_pᵀ)`` through scipy's COO sort."""
+    num_points, n = q.shape
+    slot_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    offsets = (np.arange(num_points, dtype=np.int64) * n)[:, None]
+    diag_cols = np.arange(n, dtype=np.int64)[None, :] + offsets
+    rows = np.concatenate([(indices[None, :] + offsets).ravel(), diag_cols.ravel()])
+    cols = np.concatenate([(slot_rows[None, :] + offsets).ravel(), diag_cols.ravel()])
+    data = np.concatenate(
+        [(values / lam[:, None]).ravel(), (1.0 - q / lam[:, None]).ravel()]
+    )
+    size = num_points * n
+    return sp.csr_matrix((data, (rows, cols)), shape=(size, size))
+
+
+class TestFusedTransientKernel:
+    """The pattern-permuted assembly must build the COO reference matrix."""
 
     def test_stacked_matrix_assembly_identical(self):
-        from repro.ctmc.transient import (
-            _stacked_jump_matrix,
-            _stacked_jump_matrix_fused,
-            csr_row_sums,
-        )
+        from repro.ctmc.transient import _stacked_jump_matrix, csr_row_sums
 
-        structure, values = self._fills()
+        structure, values = _paper_fills(
+            [
+                GCSParameters.paper_defaults(
+                    num_nodes=N_TEST, detection_interval_s=t
+                )
+                for t in (15.0, 60.0, 240.0)
+            ]
+        )
         q = csr_row_sums(structure.indptr, values)
         lam = q.max(axis=1)
         lam[lam <= 0.0] = 1.0
-        legacy = _stacked_jump_matrix(structure.indptr, structure.indices, values, q, lam)
-        fused = _stacked_jump_matrix_fused(
+        reference = _coo_jump_matrix(
             structure.indptr, structure.indices, values, q, lam
         )
-        legacy.sort_indices()
-        assert legacy.shape == fused.shape
+        fused = _stacked_jump_matrix(
+            structure.indptr, structure.indices, values, q, lam
+        )
+        reference.sort_indices()
+        assert reference.shape == fused.shape
         assert np.array_equal(
-            legacy.indptr.astype(np.int64), fused.indptr.astype(np.int64)
+            reference.indptr.astype(np.int64), fused.indptr.astype(np.int64)
         )
         assert np.array_equal(
-            legacy.indices.astype(np.int64), fused.indices.astype(np.int64)
+            reference.indices.astype(np.int64), fused.indices.astype(np.int64)
         )
-        assert np.array_equal(legacy.data, fused.data)
+        assert np.array_equal(reference.data, fused.data)
 
-    def test_distributions_bit_identical(self):
-        structure, values = self._fills()
-        legacy = transient_distribution_batch(
-            structure.indptr,
-            structure.indices,
-            values,
-            TIMES,
-            structure.initial_state,
-            fused=False,
-        )
-        fused = transient_distribution_batch(
-            structure.indptr,
-            structure.indices,
-            values,
-            TIMES,
-            structure.initial_state,
-            fused=True,
-        )
-        assert np.array_equal(legacy, fused)
 
-    def test_env_toggle_matches_explicit(self, monkeypatch):
-        structure, values = self._fills()
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "0")
-        via_env = transient_distribution_batch(
-            structure.indptr,
-            structure.indices,
-            values,
-            TIMES,
-            structure.initial_state,
+class TestDenseExpmOracle:
+    """Batched uniformization against a dense ``expm`` oracle.
+
+    ``π₀ · scipy.linalg.expm(Q·t)`` on the dense solve-space generator
+    is a different algorithm from uniformization (the idiom of
+    ``test_ctmc_transient.expm_oracle``).
+    """
+
+    def test_solve_space_matches_dense_expm(self):
+        import scipy.linalg
+
+        structure, values = _paper_fills(_fig2_scenarios()[::4])
+        dag = structure.dag
+        n = dag.num_states
+        times = (0.5, 2.0, 5.0)
+        dist = transient_distribution_batch(
+            dag.indptr, dag.indices, values, times, structure.solve_initial
         )
-        explicit = transient_distribution_batch(
-            structure.indptr,
-            structure.indices,
-            values,
-            TIMES,
-            structure.initial_state,
-            fused=False,
-        )
-        assert np.array_equal(via_env, explicit)
+        pi0 = np.zeros(n)
+        pi0[structure.solve_initial] = 1.0
+        for p in range(values.shape[0]):
+            chain = CTMC(
+                sp.csr_matrix(
+                    (values[p], dag.indices.copy(), dag.indptr.copy()), shape=(n, n)
+                )
+            )
+            Q = chain.generator().toarray()
+            for i, t in enumerate(times):
+                oracle = pi0 @ scipy.linalg.expm(Q * t)
+                np.testing.assert_allclose(dist[p, i], oracle, rtol=RTOL, atol=ATOL)

@@ -974,15 +974,14 @@ class TestServiceWorkerEndToEnd:
                 "quarantined": 0, "lost": 0, "roster": [],
             }
             client.register_worker(
-                name="probe", pid=4242, host="host-a", backend="serial",
-                kernel="numpy",
+                name="probe", pid=4242, host="host-a", backend="serial"
             )
             workers = client.health()["workers"]
             assert workers["total"] == 1
             assert workers["idle"] == 1
             (entry,) = workers["roster"]
             assert set(entry) == {
-                "id", "name", "pid", "host", "backend", "kernel", "state",
+                "id", "name", "pid", "host", "backend", "state",
                 "leases", "last_heartbeat_age_s", "chunks_completed",
                 "chunks_failed", "points_completed",
                 "throughput_points_per_s",
@@ -990,7 +989,6 @@ class TestServiceWorkerEndToEnd:
             assert entry["name"] == "probe"
             assert entry["pid"] == 4242
             assert entry["host"] == "host-a"
-            assert entry["kernel"] == "numpy"
             assert entry["state"] == "idle"
             assert entry["leases"] == []
             assert entry["points_completed"] == 0
