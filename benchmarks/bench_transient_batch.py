@@ -1,30 +1,24 @@
-"""Batched transient survivability benchmark: per-point vs batched.
+"""Batched transient survivability benchmark: serial vs vector.
 
 Runs one survivability campaign — a hostile "contested burst" variant
 of the fig2 grid (``m × TIDS``, quick ``N = 40``) whose curves decay
 visibly inside the mission window — twice through the engine:
 
-* **per-point serial** — every grid point builds its own chain and runs
-  uniformization per mission time (`BatchRunner()` + serial backend
-  over ``SurvivabilityRequest``s);
-* **batched vector** — ``--jobs vector``: one cached lattice structure,
-  rate fills stacked, one multi-point power sequence shared across the
-  *whole* mission-time grid
+* **serial** — the default backend (`BatchRunner()`) solves the
+  ``SurvivabilityRequest``s one point at a time, each a one-point
+  batched uniformization on the cached lattice structure's solve space;
+* **vector** — ``--jobs vector``: rate fills stacked, one multi-point
+  power sequence shared across the *whole* mission-time grid
   (:func:`repro.ctmc.transient.transient_distribution_batch`).
 
-and asserts
-
-* the two campaigns agree within the documented equivalence bound
-  (:data:`repro.ctmc.transient.BATCH_EQUIVALENCE_RTOL`) on every
-  survival value, failure CDF and time-bounded cost;
-* with ``REPRO_BENCH_REQUIRE_SPEEDUP=<X>`` set (the CI multi-core job
-  sets 2), the batched run is at least ``X``× faster than per-point
-  serial — the win is algorithmic (shared powers across the time grid
-  + vectorisation across points), so it must hold even on one core.
+Both legs run the same uniformization, so the bench asserts that the two
+campaigns are equal with ``==`` on every survival value, failure CDF
+and time-bounded cost. Their time ratio is the gain from stacking
+points into one sweep; it is reported, not gated.
 
 The report is also emitted as machine-readable JSON (``--json PATH`` or
 ``REPRO_BENCH_JSON=PATH``) with points/s and speedup, which CI uploads
-as an artifact so the speedup trend is diffable across commits.
+as an artifact so the trend is diffable across commits.
 
 Runs under pytest-benchmark like the other ``bench_*`` files and as a
 standalone script
@@ -39,17 +33,13 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.fastpath import clear_structure_cache
-from repro.ctmc.transient import BATCH_EQUIVALENCE_RTOL
 from repro.engine import BatchRunner, SurvivabilitySweep, available_cpus, make_backend
 from repro.voting.majority import clear_table_cache
 
 #: Mission-time grid (seconds). Λ for the lattice is ~1e3 (fast
 #: small-group rekey states), so uniformization depth is Λ·t_max ≈ 5e3
-#: — and the per-point path pays Λ·Σt ≈ 1.7e4 steps *per grid point*
-#: because it restarts the power sequence at every time point.
+#: steps, shared by every time point.
 MISSION_TIMES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
 
 
@@ -127,19 +117,10 @@ def _assert_claims(r) -> None:
     assert r["outcome_serial"].report.n_errors == 0
     assert r["outcome_vector"].report.n_errors == 0
 
-    # Numerically equivalent within the documented bound across every
-    # curve of the campaign — the solver contract.
-    for serial_curves, vector_curves in zip(
-        _campaign_curves(r["outcome_serial"]),
-        _campaign_curves(r["outcome_vector"]),
-    ):
-        for serial_curve, vector_curve in zip(serial_curves, vector_curves):
-            np.testing.assert_allclose(
-                vector_curve,
-                serial_curve,
-                rtol=BATCH_EQUIVALENCE_RTOL,
-                atol=1e-12,
-            )
+    # One algorithm on both legs: every curve equal with ``==``.
+    assert _campaign_curves(r["outcome_serial"]) == _campaign_curves(
+        r["outcome_vector"]
+    )
 
     # The curves must actually exercise the transient regime (guards
     # against a silently-benign grid where everything stays at 1.0).
@@ -147,15 +128,6 @@ def _assert_claims(r) -> None:
         result.survival[-1] for _, result in r["outcome_vector"].points
     ]
     assert min(final_survival) < 0.9, final_survival
-
-    required = os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP")
-    if required:
-        floor = float(required)
-        assert r["speedup"] >= floor, (
-            f"batched transient {r['speedup']:.2f}x not >= required "
-            f"{floor:g}x (serial {r['serial_s']:.2f}s, vector "
-            f"{r['vector_s']:.2f}s, {r['cpus']} cpus)"
-        )
 
 
 def _json_report(r) -> dict:
@@ -210,15 +182,15 @@ def main(argv=None) -> None:
         f"{r['n_times']} mission times; {r['cpus']} cpus)"
     )
     print(
-        f"{'per-point serial':18s} {r['serial_s']:8.2f}s  "
+        f"{'serial':18s} {r['serial_s']:8.2f}s  "
         f"{r['points_per_s_serial']:7.2f} pts/s   1.00x"
     )
     print(
-        f"{'batched (vector)':18s} {r['vector_s']:8.2f}s  "
+        f"{'vector':18s} {r['vector_s']:8.2f}s  "
         f"{r['points_per_s_vector']:7.2f} pts/s  {r['speedup']:5.2f}x"
     )
     print(f"batch report: {r['outcome_vector'].report.describe()}")
-    print(f"equivalent within rtol={BATCH_EQUIVALENCE_RTOL:g}: yes (asserted)")
+    print("serial == vector on every curve: yes (asserted)")
     _write_json(r, args.json)
 
 

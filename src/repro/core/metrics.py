@@ -18,15 +18,17 @@ sweep (:func:`repro.ctmc.acyclic.solve_dag_batch`) over stacked
 ``(P, nnz)`` rate arrays — bit-identical per-point results, one shared
 pass instead of ``P`` rebuilds. The batched solvers run in the
 structure's *solve space*, the states reachable from the initial
-marking; the per-point paths keep the full lattice and are the oracle.
+marking; :func:`evaluate` keeps the full lattice and is their oracle.
 
-:func:`evaluate_survivability` / :func:`evaluate_survivability_batch`
-are the *transient* counterparts: instead of steady-state absorption
-quantities they compute the time-bounded survivability curve
-``S(t) = P(no security failure by t)`` over a mission-time grid, per
-failure class, with expected cost rates and trapezoidal time-bounded
-costs — batched by the same structure-sharing recipe
+:func:`evaluate_survivability_batch` is the *transient* counterpart:
+instead of steady-state absorption quantities it computes the
+time-bounded survivability curve ``S(t) = P(no security failure by
+t)`` over a mission-time grid, per failure class, with expected cost
+rates and trapezoidal time-bounded costs — batched by the same
+structure-sharing recipe
 (:func:`repro.ctmc.transient.transient_distribution_batch`).
+:func:`evaluate_survivability` is its one-point call, so one scenario
+gets the same bytes alone or in any batch.
 """
 
 from __future__ import annotations
@@ -43,11 +45,7 @@ from ..costs.sizes import MessageSizes
 from ..ctmc.absorbing import analyze_absorbing
 from ..ctmc.acyclic import solve_dag_batch
 from ..ctmc.birth_death import BirthDeathProcess
-from ..ctmc.transient import (
-    csr_row_sums,
-    transient_distribution,
-    transient_distribution_batch,
-)
+from ..ctmc.transient import csr_row_sums, transient_distribution_batch
 from ..errors import ParameterError
 from ..manet.network import NetworkModel
 from ..obs import span
@@ -728,42 +726,6 @@ def _validate_mission_times(times: Sequence[float]) -> tuple[float, ...]:
     return times
 
 
-def _survivability_curves(
-    dist: np.ndarray,
-    times: tuple[float, ...],
-    cost_padded: np.ndarray,
-    initial_state: int,
-    class_members: dict[str, list[int]],
-    absorbing_mask: np.ndarray,
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """Survival / CDF / cost curves from one point's ``(T, n)`` distributions.
-
-    The quadrature for the time-bounded cost is a trapezoid over the
-    mission grid anchored at ``t = 0`` with the initial marking's exact
-    cost rate (``π(0)`` is a point mass, so ``c(0) = cost[initial]``).
-    """
-    ts = np.asarray(times)
-    cdf: dict[str, np.ndarray] = {
-        "any": (dist * absorbing_mask[None, :]).sum(axis=1)
-    }
-    for name, members in class_members.items():
-        idx = np.asarray(members, dtype=int)
-        cdf[name] = (
-            dist[:, idx].sum(axis=1) if idx.size else np.zeros(ts.size)
-        )
-    survival = 1.0 - cdf["any"]
-    cost_rate = dist @ cost_padded
-    if ts[0] == 0.0:
-        full_t, full_c = ts, cost_rate
-    else:
-        full_t = np.concatenate([[0.0], ts])
-        full_c = np.concatenate([[cost_padded[initial_state]], cost_rate])
-    segments = 0.5 * (full_c[1:] + full_c[:-1]) * np.diff(full_t)
-    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
-    bounded = cumulative[-ts.size:]
-    return survival, cdf, cost_rate, bounded
-
-
 def evaluate_survivability(
     params: GCSParameters,
     network: Optional[NetworkModel] = None,
@@ -774,55 +736,15 @@ def evaluate_survivability(
 ) -> SurvivabilityResult:
     """Survivability curve ``S(t)`` of one scenario over mission ``times``.
 
-    The per-point reference path: builds the fast-lattice chain and runs
-    uniformization (:func:`repro.ctmc.transient.transient_distribution`)
-    over the strictly increasing, non-negative mission-time grid. The
-    batched counterpart is :func:`evaluate_survivability_batch`.
+    The one-point call of :func:`evaluate_survivability_batch`: the
+    point is prepared, solved on the solve space and packaged by the
+    same code as a batched point, so every backend returns the same
+    bytes. ``times`` must be strictly increasing and non-negative.
     """
-    times = _validate_mission_times(times)
-    t0 = time.perf_counter()
-    net = resolve_network(params, network)
-    bd = BirthDeathProcess.for_group_count(
-        net.partition_rate_hz, net.merge_rate_hz, params.groups.max_groups
+    (result,) = evaluate_survivability_batch(
+        [(params, network)], times=times, sizes=sizes, eps=eps
     )
-    lattice = build_lattice_chain(
-        params, net, expected_groups=bd.mean_level()
-    )
-    cost_model = GCSCostModel(
-        params, net, sizes=sizes, ng_distribution=bd.level_distribution()
-    )
-    costs = lattice_state_costs(lattice_structure(params.num_nodes), cost_model)
-    cost_padded = np.append(costs, 0.0)  # C1 state accrues nothing
-    build_s = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    dist = np.atleast_2d(
-        transient_distribution(
-            lattice.chain, times, lattice.initial_state, eps=eps
-        )
-    )
-    survival, cdf, cost_rate, bounded = _survivability_curves(
-        dist,
-        times,
-        cost_padded,
-        lattice.initial_state,
-        lattice.absorbing_classes(),
-        lattice.chain.absorbing_mask,
-    )
-    solve_s = time.perf_counter() - t1
-
-    return SurvivabilityResult(
-        params=params,
-        times_s=times,
-        survival=tuple(float(s) for s in survival),
-        failure_cdf={k: tuple(float(x) for x in v) for k, v in cdf.items()},
-        expected_cost_rate=tuple(float(c) for c in cost_rate),
-        time_bounded_cost=tuple(float(c) for c in bounded),
-        num_states=lattice.num_states,
-        solver="uniformization",
-        build_seconds=build_s,
-        solve_seconds=solve_s,
-    )
+    return result
 
 
 def _survivability_chunk_size(
@@ -851,19 +773,34 @@ def _package_survivability(
     absorbing_mask: np.ndarray,
     solve_seconds: float,
 ) -> SurvivabilityResult:
-    """One batched point's curves, packaged as :func:`evaluate_survivability`.
+    """Survival / CDF / cost curves from one point's ``(T, n)`` distributions.
 
     ``dist``, ``class_members``, ``absorbing_mask`` and the point's cost
-    column are all on the solve space.
+    column are all on the solve space. The quadrature for the
+    time-bounded cost is a trapezoid over the mission grid anchored at
+    ``t = 0`` with the initial marking's exact cost rate (``π(0)`` is a
+    point mass, so ``c(0) = cost[initial]``).
     """
-    survival, cdf, cost_rate, bounded = _survivability_curves(
-        dist,
-        times,
-        point.reward_columns[0],
-        structure.solve_initial,
-        class_members,
-        absorbing_mask,
-    )
+    ts = np.asarray(times)
+    cost = point.reward_columns[0]
+    cdf: dict[str, np.ndarray] = {
+        "any": (dist * absorbing_mask[None, :]).sum(axis=1)
+    }
+    for name, members in class_members.items():
+        idx = np.asarray(members, dtype=int)
+        cdf[name] = (
+            dist[:, idx].sum(axis=1) if idx.size else np.zeros(ts.size)
+        )
+    survival = 1.0 - cdf["any"]
+    cost_rate = dist @ cost
+    if ts[0] == 0.0:
+        full_t, full_c = ts, cost_rate
+    else:
+        full_t = np.concatenate([[0.0], ts])
+        full_c = np.concatenate([[cost[structure.solve_initial]], cost_rate])
+    segments = 0.5 * (full_c[1:] + full_c[:-1]) * np.diff(full_t)
+    cumulative = np.concatenate([[0.0], np.cumsum(segments)])
+    bounded = cumulative[-ts.size:]
     return SurvivabilityResult(
         params=point.params,
         times_s=times,
@@ -990,14 +927,13 @@ def evaluate_survivability_batch(
 ) -> list[SurvivabilityResult]:
     """Evaluate survivability curves for many scenarios in one sweep.
 
-    The batched counterpart of :func:`evaluate_survivability`: points
-    are grouped by ``num_nodes``, rate fills stacked, and one
+    Points are grouped by ``num_nodes``, rate fills stacked, and one
     multi-point uniformization pass computes every point's transient
-    distributions over the whole mission grid — numerically equivalent
-    to the per-point path within
-    :data:`repro.ctmc.transient.BATCH_EQUIVALENCE_RTOL` (asserted by
-    the differential test layer). Raises the first per-point failure;
-    use :func:`evaluate_survivability_batch_outcomes` for capture.
+    distributions over the whole mission grid. No step mixes points,
+    so each result equals :func:`evaluate_survivability` (its one-point
+    call) on that point with ``==``. Raises the first per-point
+    failure; use :func:`evaluate_survivability_batch_outcomes` for
+    capture.
     """
     outcomes = evaluate_survivability_batch_outcomes(
         scenarios,

@@ -10,16 +10,17 @@ provides:
   solved either by an exact topological sweep when the chain is acyclic
   (:mod:`repro.ctmc.acyclic`) or by a sparse linear solve
   (:mod:`repro.ctmc.linear`);
-* :func:`~repro.ctmc.transient.transient_distribution` — uniformization
-  with stable Poisson weights (:mod:`repro.ctmc.poisson`);
 * :func:`~repro.ctmc.acyclic.solve_dag_batch` and
   :func:`~repro.ctmc.transient.transient_distribution_batch` — the
   batched solvers for ``P`` rate fills of one sparsity pattern: one
   level-scheduled backward sweep (bit-identical to per-point
   :func:`~repro.ctmc.acyclic.solve_dag`) and one stacked-matrix
-  uniformization (within
-  :data:`~repro.ctmc.transient.BATCH_EQUIVALENCE_RTOL` of per-point
-  :func:`~repro.ctmc.transient.transient_distribution`);
+  uniformization with stable Poisson weights
+  (:mod:`repro.ctmc.poisson`);
+* :func:`~repro.ctmc.transient.transient_distribution` /
+  :func:`~repro.ctmc.transient.absorption_cdf` — that uniformization
+  for one :class:`CTMC`: the batched call at ``P = 1``, so a chain's
+  result is the same alone or in a batch;
 * :func:`~repro.ctmc.stationary.stationary_distribution` — GTH
   elimination / power iteration;
 * :class:`~repro.ctmc.birth_death.BirthDeathProcess` — closed-form

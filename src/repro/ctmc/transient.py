@@ -2,28 +2,24 @@
 
 ``π(t) = Σ_k  Pois(k; Λt) · π(0) Pᵏ`` with ``P = I + Q/Λ`` the
 uniformized jump chain. Used to obtain the *distribution* of the time to
-security failure (not just its mean) and for cross-validating the
-absorbing-chain sweeps against an independent numerical method.
+security failure (not just its mean).
 
-Two entry layers:
+One algorithm, two entry layers:
 
-* :func:`transient_distribution` / :func:`absorption_cdf` — one
-  :class:`~repro.ctmc.chain.CTMC` at a time (the historical API, and
-  the oracle for the batched layer);
 * :func:`transient_distribution_batch` / :func:`absorption_cdf_batch` —
   ``P`` chains sharing one CSR sparsity pattern (the
   :class:`~repro.core.fastpath.LatticeStructure` sweep shape), solved
-  with one shared power sequence. Per point the batch uses its *own*
-  uniformization rate and truncated Poisson weights, so the result is
-  numerically equivalent to the per-point function; only the floating-
-  point summation order differs (one stacked block-diagonal CSR matvec
-  vs scipy's per-chain matvec), which keeps the two within
-  :data:`BATCH_EQUIVALENCE_RTOL` relative error on the reproduction's
-  chains (asserted by the differential test layer, and against a dense
-  ``expm`` oracle). The batched sweep additionally reuses one power
-  sequence ``π(0)Pᵏ`` for *every* requested time point, instead of
-  restarting per time like the per-point loop — the dominant saving on
-  time-grid survivability campaigns.
+  with one power sequence ``π(0)Pᵏ`` shared by every requested time
+  point. Per point the batch uses its *own* uniformization rate and
+  truncated Poisson weights, and no step mixes points, so a point's
+  result does not depend on its batch mates;
+* :func:`transient_distribution` / :func:`absorption_cdf` — one
+  :class:`~repro.ctmc.chain.CTMC`: the ``P = 1`` call of the batched
+  functions on the chain's own CSR pattern.
+
+The algorithm is checked against independent references (closed forms,
+a dense ``expm`` oracle, the full-lattice chain) within
+:data:`BATCH_EQUIVALENCE_RTOL`.
 """
 
 from __future__ import annotations
@@ -46,10 +42,12 @@ __all__ = [
     "csr_row_sums",
 ]
 
-#: Documented equivalence bound between the batched and per-point
-#: uniformization paths: same weights, same truncation, different IEEE
-#: summation order. Differential tests assert agreement to this
-#: relative tolerance (probabilities additionally to ``atol=1e-12``).
+#: Agreement bound between this module's uniformization and the
+#: independent references it is checked against: the dense ``expm``
+#: oracle, the full-lattice chain and stored reference curves. Tests
+#: assert agreement to this relative tolerance (probabilities
+#: additionally to ``atol=1e-12``). Every backend runs the same
+#: uniformization, so backends agree with ``==``, not to this bound.
 BATCH_EQUIVALENCE_RTOL = 1e-9
 
 
@@ -64,38 +62,13 @@ def transient_distribution(
 
     Returns an array of shape ``(len(times), n)`` (or ``(n,)`` for a
     scalar ``times``). Exact to truncation mass ``eps`` per time point.
+    The one-point call of :func:`transient_distribution_batch` on the
+    chain's own CSR pattern.
     """
-    scalar = np.isscalar(times)
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(ts < 0.0):
-        raise ParameterError("times must be non-negative")
-    pi0 = chain.validate_initial_distribution(initial)
-
-    lam = chain.uniformization_rate()
-    P = chain.uniformized_dtmc(lam)
-
-    out = np.empty((ts.size, chain.num_states))
-    order = np.argsort(ts)
-    # Incremental evolution: reuse the power sequence across sorted times
-    # by restarting from scratch per time point (simple and robust; the
-    # figure pipelines only use a handful of time points).
-    for row, ti in zip(order, ts[order]):
-        if ti == 0.0:
-            out[row] = pi0
-            continue
-        left, right, w = poisson_weights(lam * ti, eps)
-        v = pi0.copy()
-        acc = np.zeros_like(pi0)
-        for k in range(0, right + 1):
-            if k >= left:
-                acc += w[k - left] * v
-            if k < right:
-                v = v @ P
-        out[row] = acc
-    # Guard against tiny negative round-off and renormalise.
-    np.clip(out, 0.0, None, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out[0] if scalar else out
+    R = chain.rates
+    return transient_distribution_batch(
+        R.indptr, R.indices, R.data[None, :], times, initial, eps=eps
+    )[0]
 
 
 def absorption_cdf(
@@ -112,22 +85,13 @@ def absorption_cdf(
     absorbed (into any absorbing state) by ``times[i]``; each named class
     gets the probability of sitting in *that* class by ``times[i]``
     (a defective CDF whose limit is the class absorption probability).
+    The one-point call of :func:`absorption_cdf_batch`.
     """
-    dist = transient_distribution(chain, times, initial, eps=eps)
-    dist = np.atleast_2d(dist)
-    absorbing = chain.absorbing_mask
-    result: dict[str, np.ndarray] = {"any": dist[:, absorbing].sum(axis=1)}
-    if classes:
-        for name, members in classes.items():
-            idx = np.asarray(list(members), dtype=int)
-            if idx.size and (idx.min() < 0 or idx.max() >= chain.num_states):
-                raise ParameterError(
-                    f"absorbing class {name!r} has out-of-range states"
-                )
-            result[name] = (
-                dist[:, idx].sum(axis=1) if idx.size else np.zeros(dist.shape[0])
-            )
-    return result
+    R = chain.rates
+    cdf = absorption_cdf_batch(
+        R.indptr, R.indices, R.data[None, :], times, initial, classes=classes, eps=eps
+    )
+    return {name: curve[0] for name, curve in cdf.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +250,14 @@ def transient_distribution_batch(
     Returns
     -------
     ``(P, len(times), n)`` array (``(P, n)`` for scalar ``times``) of
-    state distributions, numerically equivalent to calling
-    :func:`transient_distribution` per point (each point keeps its own
-    uniformization rate ``Λ_p = max_i q_i^p`` and its own truncated
-    Poisson weights; see :data:`BATCH_EQUIVALENCE_RTOL`). One shared
-    power sequence serves every requested time point: each step is one
-    matvec with the stacked jump matrix (:func:`_stacked_jump_matrix`),
-    and the Poisson windows accumulate into a time-major layout whose
-    per-time ``(P, n)`` slices are contiguous.
+    state distributions. Each point keeps its own uniformization rate
+    ``Λ_p = max_i q_i^p`` and its own truncated Poisson weights, so row
+    ``p`` equals :func:`transient_distribution` on point ``p`` alone
+    with ``==``. One shared power sequence serves every requested time
+    point: each step is one matvec with the stacked jump matrix
+    (:func:`_stacked_jump_matrix`), and the Poisson windows accumulate
+    into a time-major layout whose per-time ``(P, n)`` slices are
+    contiguous.
     """
     indptr, indices, n = _validate_pattern(indptr, indices)
     values = np.asarray(values, dtype=float)
@@ -376,8 +340,7 @@ def transient_distribution_batch(
     registry.counter("solver.transient_points_solved").add(num_points)
     registry.counter("solver.uniformization_steps").add(k_max + 1)
 
-    # Guard against tiny negative round-off and renormalise (mirror of
-    # the per-point epilogue).
+    # Guard against tiny negative round-off and renormalise.
     np.clip(out, 0.0, None, out=out)
     out /= out.sum(axis=2, keepdims=True)
     return out[:, 0, :] if scalar else out

@@ -102,15 +102,16 @@ class SurvivabilityRequest:
     """One scenario point's survivability curve over a mission-time grid.
 
     The engine's second first-class request type: evaluated by
-    :func:`evaluate_survivability_request` (per-point uniformization)
-    or — when a whole batch of them reaches the
+    :func:`evaluate_survivability_request` (a one-point batch) or —
+    when a whole batch of them reaches the
     :class:`~repro.engine.executor.VectorBackend` — by one
     structure-sharing
     :func:`~repro.core.metrics.evaluate_survivability_batch_outcomes`
-    sweep. The fingerprint extends the scenario key with the time grid
-    and the truncation ``eps``, so curves over different grids never
-    collide in the shared result cache while identical sweep requests
-    dedup exactly like model evaluations.
+    sweep; both give the same bytes. The fingerprint extends the
+    scenario key with the time grid and the truncation ``eps``, so
+    curves over different grids never collide in the shared result
+    cache while identical sweep requests dedup exactly like model
+    evaluations.
     """
 
     params: GCSParameters

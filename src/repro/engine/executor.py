@@ -26,7 +26,8 @@ outcome instead of aborting the whole batch — a sweep with one
 pathological grid point still yields the other N−1 results. The
 backends are observationally equivalent: same inputs, same outcomes,
 same ordering (asserted by the test suite; the vector backend is
-additionally *bit-identical* to the others on model batches).
+additionally *bit-identical* to the others on model and survivability
+batches).
 
 A fifth backend lives in :mod:`repro.service`:
 :class:`~repro.service.client.RemoteBackend` (``--jobs remote[:URL]``)

@@ -364,8 +364,16 @@ class TestLayerCoverage:
         assert os.getpid() not in chunk_pids
         assert builds == {pid: 1 for pid in chunk_pids}
 
-    @pytest.mark.parametrize("kind", ["variance", "survivability"])
-    def test_variance_and_survivability_solves_are_attributed(self, kind):
+    @pytest.mark.parametrize(
+        "kind, jobs",
+        [
+            ("variance", "vector"),
+            ("survivability", "vector"),
+            ("survivability", "serial"),
+        ],
+        ids=["variance", "survivability", "survivability-serial"],
+    )
+    def test_variance_and_survivability_solves_are_attributed(self, kind, jobs):
         from repro.engine import SurvivabilityRequest
         from repro.engine.batch import evaluate_survivability_request
 
@@ -388,11 +396,14 @@ class TestLayerCoverage:
             options = {"evaluate": evaluate_survivability_request}
             solve = "solve.transient"
         enable_tracing()
-        BatchRunner(backend=make_backend("vector")).run(
+        BatchRunner(backend=make_backend(jobs)).run(
             requests, **options
         ).report.raise_on_error()
-        coverage = _child_coverage(tracer().records(), "vector.solve")
-        assert coverage, "no vector.solve span recorded"
+        # A serial point runs the same batched solver, one point at a
+        # time, straight under the runner's evaluate span.
+        parent = "vector.solve" if jobs == "vector" else "batch.evaluate"
+        coverage = _child_coverage(tracer().records(), parent)
+        assert coverage, f"no {parent} span recorded"
         for covered, names in coverage:
             assert {"prepare.rates", "prepare.costs", solve, "package"} <= names
             assert covered >= MIN_CHILD_COVERAGE, (covered, names)

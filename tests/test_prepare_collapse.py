@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.fastpath import (
     _KINDS,
+    build_lattice_chain,
     fill_transition_rates,
     lattice_state_costs,
     lattice_structure,
@@ -39,9 +40,10 @@ from repro.core.metrics import (
 from repro.core.rates import GCSRates
 from repro.costs.aggregate import GCSCostModel
 from repro.ctmc.birth_death import BirthDeathProcess
-from repro.ctmc.transient import BATCH_EQUIVALENCE_RTOL
+from repro.ctmc.transient import BATCH_EQUIVALENCE_RTOL, absorption_cdf
 from repro.detection.functions import vector_shape_factor
 from repro.params import GCSParameters
+from test_transient_batch import _assert_curves_equal
 
 FORMS = ("logarithmic", "linear", "polynomial")
 
@@ -284,18 +286,34 @@ def test_tiny_lattice_survivability_batch_matches(n):
     scenarios = _tiny_scenarios(n)
     times = (0.0, 0.5, 2.0, 5.0)
     batched = evaluate_survivability_batch(scenarios, times=times)
-    close = dict(rtol=BATCH_EQUIVALENCE_RTOL, atol=1e-12)
     for params, got in zip(scenarios, batched):
         want = evaluate_survivability(params, times=times)
-        np.testing.assert_allclose(got.survival, want.survival, **close)
+        _assert_curves_equal(got, want)
         assert list(got.failure_cdf) == list(want.failure_cdf)
-        for name, cdf in want.failure_cdf.items():
-            np.testing.assert_allclose(got.failure_cdf[name], cdf, **close)
         assert got.failure_cdf["c1_data_leak"] == (0.0,) * len(times)
-        np.testing.assert_allclose(
-            got.expected_cost_rate, want.expected_cost_rate, **close
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_solve_space_survivability_matches_full_lattice(n):
+    # Survivability runs on the solve space on every backend; the
+    # full-lattice chain, C1 included at N <= 2, is its reference.
+    scenarios = _tiny_scenarios(n)
+    times = (0.0, 0.5, 2.0, 5.0)
+    close = dict(rtol=BATCH_EQUIVALENCE_RTOL, atol=1e-12)
+    batched = evaluate_survivability_batch(scenarios, times=times)
+    for params, got in zip(scenarios, batched):
+        net = resolve_network(params, None)
+        bd = BirthDeathProcess.for_group_count(
+            net.partition_rate_hz, net.merge_rate_hz, params.groups.max_groups
         )
-        np.testing.assert_allclose(
-            got.time_bounded_cost, want.time_bounded_cost, **close
+        lattice = build_lattice_chain(params, net, expected_groups=bd.mean_level())
+        want = absorption_cdf(
+            lattice.chain,
+            times,
+            lattice.initial_state,
+            classes=lattice.absorbing_classes(),
         )
-        assert got.num_states == want.num_states
+        assert set(got.failure_cdf) == set(want)
+        for name, cdf in want.items():
+            np.testing.assert_allclose(got.failure_cdf[name], cdf, **close)
+        np.testing.assert_allclose(got.survival, 1.0 - want["any"], **close)

@@ -20,7 +20,12 @@ import urllib.request
 
 import pytest
 
-from repro.engine.batch import BatchRunner, EvalRequest, evaluate_auto
+from repro.engine.batch import (
+    BatchRunner,
+    EvalRequest,
+    SurvivabilityRequest,
+    evaluate_auto,
+)
 from repro.engine.cache import ResultCache
 from repro.engine.executor import SerialBackend, make_backend
 from repro.obs import metrics, reset_observability
@@ -103,6 +108,23 @@ class TestRemoteVsSerial:
             assert _strip_timings(ours.to_dict()) == _strip_timings(
                 theirs.to_dict()
             )
+
+    def test_survivability_identical_on_every_backend(self, server):
+        # One uniformization on every path: switching backends changes
+        # no survivability byte outside the wall-clock fields.
+        requests = [
+            SurvivabilityRequest(params=request.params, times_s=(0.0, 0.5, 2.0, 5.0))
+            for request in _requests()
+        ]
+        records = {}
+        for jobs in (f"remote:{server.url}", "serial", "vector", "vector:2"):
+            runner = BatchRunner(backend=make_backend(jobs))
+            batch = runner.run(requests, evaluate=evaluate_auto)
+            batch.report.raise_on_error()
+            records[jobs] = [_strip_timings(r.to_dict()) for r in batch.results]
+        serial = records.pop("serial")
+        for jobs, curves in records.items():
+            assert curves == serial, jobs
 
     def test_warm_shared_cache_byte_identical(self, server, tmp_path):
         requests = _requests()

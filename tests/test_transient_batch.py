@@ -1,17 +1,17 @@
-"""Batched transient survivability: differential + routing tests.
+"""Batched transient survivability: oracle, identity and routing tests.
 
-The batched uniformization path must be *numerically equivalent* to the
-per-point ``transient_distribution`` / ``absorption_cdf`` functions —
-same per-point uniformization rates and truncated Poisson weights,
-only the IEEE summation order differs — within the documented
-:data:`repro.ctmc.transient.BATCH_EQUIVALENCE_RTOL`. These tests pin
-that contract differentially on the paper's fig2/fig4 grids (reduced
-``N``; the arithmetic is size-independent) and cover the engine
+Uniformization has one implementation, the batched
+``transient_distribution_batch`` / ``absorption_cdf_batch``; the
+per-chain ``transient_distribution`` / ``absorption_cdf`` and
+``evaluate_survivability`` are its one-point calls. These tests check
+it against the dense oracle ``π₀ · scipy.linalg.expm(Q·t)`` within
+:data:`repro.ctmc.transient.BATCH_EQUIVALENCE_RTOL`, pin with ``==``
+that a point's bytes do not depend on its batch mates (so serial,
+``vector``, ``vector:N`` and single-point survivability agree exactly
+on the paper's fig2/fig4 grids at reduced ``N``), and cover the engine
 routing: ``SurvivabilityRequest`` fingerprints, cache hit/miss parity
-across ``--jobs vector``, ``vector:N`` (the vector+procs hybrid) and
-serial, byte-identity of the hybrid against the single-process vector
-path, the ``SurvivabilitySweep`` job spec, and the ``survivability``
-CLI subcommand.
+across backends, the ``SurvivabilitySweep`` job spec, and the
+``survivability`` CLI subcommand.
 """
 
 import json
@@ -77,30 +77,18 @@ def _fig4_scenarios(tids=(15.0, 60.0, 240.0)) -> list[GCSParameters]:
     ]
 
 
-def _assert_curves_close(batch_result, point_result):
-    assert batch_result.times_s == point_result.times_s
-    assert batch_result.num_states == point_result.num_states
-    np.testing.assert_allclose(
-        batch_result.survival, point_result.survival, rtol=RTOL, atol=ATOL
-    )
-    assert set(batch_result.failure_cdf) == set(point_result.failure_cdf)
-    for name in batch_result.failure_cdf:
-        np.testing.assert_allclose(
-            batch_result.failure_cdf[name],
-            point_result.failure_cdf[name],
-            rtol=RTOL,
-            atol=ATOL,
-        )
-    np.testing.assert_allclose(
-        batch_result.expected_cost_rate,
-        point_result.expected_cost_rate,
-        rtol=RTOL,
-    )
-    np.testing.assert_allclose(
-        batch_result.time_bounded_cost,
-        point_result.time_bounded_cost,
-        rtol=RTOL,
-    )
+def _assert_curves_equal(result, reference):
+    """Every value field equal with ``==``: one algorithm on every path."""
+    for field in (
+        "times_s",
+        "survival",
+        "failure_cdf",
+        "expected_cost_rate",
+        "time_bounded_cost",
+        "num_states",
+        "solver",
+    ):
+        assert getattr(result, field) == getattr(reference, field), field
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +116,25 @@ def _per_point_chain(shared_csr, values_row):
     )
 
 
+def _expm_oracle(chain, times, initial):
+    """``π₀ · scipy.linalg.expm(Q·t)`` per time: the dense oracle.
+
+    A different algorithm from uniformization (the idiom of
+    ``test_ctmc_transient.expm_oracle``). Returns ``(len(times), n)``.
+    """
+    import scipy.linalg
+
+    Q = chain.generator().toarray()
+    if np.ndim(initial) == 0:
+        pi0 = np.zeros(chain.num_states)
+        pi0[initial] = 1.0
+    else:
+        pi0 = np.asarray(initial, dtype=float)
+    return np.array([pi0 @ scipy.linalg.expm(Q * t) for t in np.atleast_1d(times)])
+
+
 class TestTransientBatchUnit:
-    def test_matches_per_point_on_cyclic_chain(self):
+    def test_cyclic_chain_matches_dense_expm(self):
         rng = np.random.default_rng(7)
         chain = _random_chain(rng, cyclic=True)
         R = chain.rates
@@ -138,8 +143,10 @@ class TestTransientBatchUnit:
         times = [0.0, 0.3, 1.0, 4.0]
         batch = transient_distribution_batch(R.indptr, R.indices, values, times, 0)
         for p in range(P):
-            ref = transient_distribution(_per_point_chain(R, values[p]), times, 0)
-            np.testing.assert_allclose(batch[p], ref, rtol=RTOL, atol=ATOL)
+            chain_p = _per_point_chain(R, values[p])
+            oracle = _expm_oracle(chain_p, times, 0)
+            np.testing.assert_allclose(batch[p], oracle, rtol=RTOL, atol=ATOL)
+            assert np.array_equal(transient_distribution(chain_p, times, 0), batch[p])
 
     def test_explicit_zeros_match_pruned_chain(self):
         rng = np.random.default_rng(11)
@@ -155,9 +162,9 @@ class TestTransientBatchUnit:
             ref = transient_distribution(
                 _per_point_chain(R, values[p]), times, chain.num_states - 1
             )
-            np.testing.assert_allclose(batch[p], ref, rtol=RTOL, atol=ATOL)
+            assert np.array_equal(batch[p], ref)
 
-    def test_absorption_cdf_matches_per_point(self):
+    def test_absorption_cdf_matches_dense_expm(self):
         rng = np.random.default_rng(3)
         chain = _random_chain(rng, n=16, density=0.3, cyclic=False)
         R = chain.rates
@@ -169,13 +176,19 @@ class TestTransientBatchUnit:
             R.indptr, R.indices, values, times, initial, classes=classes
         )
         for p in range(3):
-            ref = absorption_cdf(
-                _per_point_chain(R, values[p]), times, initial, classes=classes
-            )
+            chain_p = _per_point_chain(R, values[p])
+            oracle = _expm_oracle(chain_p, times, initial)
+            expected = {
+                "any": oracle[:, chain_p.absorbing_mask].sum(axis=1),
+                "zero": oracle[:, 0],
+                "empty": np.zeros(len(times)),
+            }
+            single = absorption_cdf(chain_p, times, initial, classes=classes)
             for name in ("any", "zero", "empty"):
                 np.testing.assert_allclose(
-                    batch[name][p], ref[name], rtol=RTOL, atol=ATOL
+                    batch[name][p], expected[name], rtol=RTOL, atol=ATOL
                 )
+                assert np.array_equal(single[name], batch[name][p])
             assert np.all(np.diff(batch["any"][p]) >= -ATOL)
 
     def test_poisson_windows_once_per_distinct_mean(self, monkeypatch):
@@ -202,8 +215,10 @@ class TestTransientBatchUnit:
         batch = transient_distribution_batch(R.indptr, R.indices, values, times, 3)
         assert len(means) == len(set(means)) == 8
         for p in (0, 11):
-            ref = transient_distribution(_per_point_chain(R, values[p]), times, 3)
-            np.testing.assert_allclose(batch[p], ref, rtol=RTOL, atol=ATOL)
+            chain_p = _per_point_chain(R, values[p])
+            oracle = _expm_oracle(chain_p, times, 3)
+            np.testing.assert_allclose(batch[p], oracle, rtol=RTOL, atol=ATOL)
+            assert np.array_equal(transient_distribution(chain_p, times, 3), batch[p])
 
     def test_scalar_times_shape(self):
         chain = CTMC.from_transitions(3, [(2, 1, 1.0), (1, 0, 0.5)])
@@ -211,8 +226,11 @@ class TestTransientBatchUnit:
         values = R.data[None, :]
         dist = transient_distribution_batch(R.indptr, R.indices, values, 0.7, 2)
         assert dist.shape == (1, 3)
-        ref = transient_distribution(chain, 0.7, 2)
-        np.testing.assert_allclose(dist[0], ref, rtol=RTOL, atol=ATOL)
+        oracle = _expm_oracle(chain, 0.7, 2)[0]
+        np.testing.assert_allclose(dist[0], oracle, rtol=RTOL, atol=ATOL)
+        single = transient_distribution(chain, 0.7, 2)
+        assert single.shape == (3,)
+        assert np.array_equal(single, dist[0])
 
     def test_empty_batch_shapes(self):
         # The scalar-squeeze epilogue must apply to empty batches too,
@@ -242,8 +260,12 @@ class TestTransientBatchUnit:
             R.indptr, R.indices, values, [1.0], pi0
         )
         for p in range(2):
-            ref = transient_distribution(_per_point_chain(R, values[p]), [1.0], pi0)
-            np.testing.assert_allclose(batch[p], ref, rtol=RTOL, atol=ATOL)
+            chain_p = _per_point_chain(R, values[p])
+            oracle = _expm_oracle(chain_p, [1.0], pi0)
+            np.testing.assert_allclose(batch[p], oracle, rtol=RTOL, atol=ATOL)
+            assert np.array_equal(
+                transient_distribution(chain_p, [1.0], pi0), batch[p]
+            )
 
     def test_validation_errors(self):
         chain = CTMC.from_transitions(3, [(2, 1, 1.0)])
@@ -269,24 +291,18 @@ class TestSurvivabilityDifferential:
         batch = evaluate_survivability_batch(scenarios, times=TIMES)
         for scenario, result in zip(scenarios, batch):
             assert result.solver == "uniformization-batch"
-            point = evaluate_survivability(scenario, times=TIMES)
-            assert point.solver == "uniformization"
-            _assert_curves_close(result, point)
+            _assert_curves_equal(result, evaluate_survivability(scenario, times=TIMES))
 
     def test_fig4_grid(self):
         scenarios = _fig4_scenarios()
         batch = evaluate_survivability_batch(scenarios, times=TIMES)
         for scenario, result in zip(scenarios, batch):
-            _assert_curves_close(
-                result, evaluate_survivability(scenario, times=TIMES)
-            )
+            _assert_curves_equal(result, evaluate_survivability(scenario, times=TIMES))
 
     def test_degenerate_single_point_batch(self):
         scenario = GCSParameters.small_test()
         (result,) = evaluate_survivability_batch([scenario], times=TIMES)
-        _assert_curves_close(
-            result, evaluate_survivability(scenario, times=TIMES)
-        )
+        _assert_curves_equal(result, evaluate_survivability(scenario, times=TIMES))
 
     def test_empty_batch(self):
         assert evaluate_survivability_batch([], times=TIMES) == []
@@ -298,9 +314,7 @@ class TestSurvivabilityDifferential:
         batch = evaluate_survivability_batch(scenarios, times=TIMES)
         for scenario, result in zip(scenarios, batch):
             assert result.params == scenario
-            _assert_curves_close(
-                result, evaluate_survivability(scenario, times=TIMES)
-            )
+            _assert_curves_equal(result, evaluate_survivability(scenario, times=TIMES))
 
     def test_survival_is_one_minus_any(self):
         (result,) = evaluate_survivability_batch(
@@ -361,7 +375,7 @@ class TestVectorBackendSurvivability:
         assert [o.index for o in vector] == [o.index for o in serial]
         for vec, ser in zip(vector, serial):
             assert vec.ok and ser.ok
-            _assert_curves_close(vec.value, ser.value)
+            _assert_curves_equal(vec.value, ser.value)
 
     def test_error_capture_in_batch(self):
         good = _surv_requests(1)[0]
@@ -581,7 +595,7 @@ class TestSurvivabilityGridSweep:
         )
         assert [p.assignment for p in serial] == [p.assignment for p in vector]
         for s, v in zip(serial, vector):
-            _assert_curves_close(v.value, s.value)
+            _assert_curves_equal(v.value, s.value)
 
     def test_base_path_uses_sweep_spec(self):
         points = survivability_grid_sweep(
@@ -731,16 +745,9 @@ class TestFusedTransientKernel:
 
 
 class TestDenseExpmOracle:
-    """Batched uniformization against a dense ``expm`` oracle.
-
-    ``π₀ · scipy.linalg.expm(Q·t)`` on the dense solve-space generator
-    is a different algorithm from uniformization (the idiom of
-    ``test_ctmc_transient.expm_oracle``).
-    """
+    """Batched uniformization on the solve space against :func:`_expm_oracle`."""
 
     def test_solve_space_matches_dense_expm(self):
-        import scipy.linalg
-
         structure, values = _paper_fills(_fig2_scenarios()[::4])
         dag = structure.dag
         n = dag.num_states
@@ -748,15 +755,11 @@ class TestDenseExpmOracle:
         dist = transient_distribution_batch(
             dag.indptr, dag.indices, values, times, structure.solve_initial
         )
-        pi0 = np.zeros(n)
-        pi0[structure.solve_initial] = 1.0
         for p in range(values.shape[0]):
             chain = CTMC(
                 sp.csr_matrix(
                     (values[p], dag.indices.copy(), dag.indptr.copy()), shape=(n, n)
                 )
             )
-            Q = chain.generator().toarray()
-            for i, t in enumerate(times):
-                oracle = pi0 @ scipy.linalg.expm(Q * t)
-                np.testing.assert_allclose(dist[p, i], oracle, rtol=RTOL, atol=ATOL)
+            oracle = _expm_oracle(chain, times, structure.solve_initial)
+            np.testing.assert_allclose(dist[p], oracle, rtol=RTOL, atol=ATOL)
