@@ -52,7 +52,7 @@ def simulate_compromise_history(
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--jobs", default=None, help="engine workers: N, 'auto', 'thread[:N]' or 'vector'"
+        "--jobs", default=None, help="engine backend: N, 'auto' or 'vector[:N]'"
     )
     parser.add_argument(
         "--cache-dir", default=None, help="persistent result cache directory"

@@ -39,7 +39,7 @@ DELAY_BUDGET_S = 0.060  # 60 ms mean end-to-end packet delay
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--jobs", default=None, help="engine workers: N, 'auto', 'thread[:N]' or 'vector'"
+        "--jobs", default=None, help="engine backend: N, 'auto' or 'vector[:N]'"
     )
     parser.add_argument(
         "--cache-dir", default=None, help="persistent result cache directory"

@@ -50,7 +50,7 @@ def _replication_batch(task):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--jobs", default=None, help="engine workers: N, 'auto', 'thread[:N]' or 'vector'"
+        "--jobs", default=None, help="engine backend: N, 'auto' or 'vector[:N]'"
     )
     parser.add_argument(
         "--cache-dir", default=None, help="persistent result cache directory"

@@ -5,8 +5,9 @@ It accepts any iterable per axis (generators and other unsized
 iterables are materialised up front), evaluates in deterministic
 lexicographic order, and can optionally dispatch points through a
 :mod:`repro.engine` execution backend — which is how a generic sweep
-gains process-pool parallelism and per-point error capture without the
-caller writing any orchestration code.
+gains per-point error capture and, under ``N`` / ``"vector:N"``,
+per-point chunks on a process pool without the caller writing any
+orchestration code.
 
 :func:`model_grid_sweep` is the model-aware variant: axes range over
 :meth:`GCSParameters.replacing` keys and every point is an engine
@@ -147,12 +148,13 @@ def grid_sweep(
 
     ``backend`` — any :class:`repro.engine.executor.ExecutionBackend`,
     or a :func:`~repro.engine.executor.make_backend` spec (``4``,
-    ``"auto"``, ``"thread:2"``, ``"vector"``); points are dispatched
-    through it (for a process pool, ``evaluate`` must be picklable)
+    ``"auto"``, ``"vector"``, ``"vector:2"``); points are dispatched
+    through it (with pool workers, ``evaluate`` must be picklable)
     and always come back in grid order. An arbitrary callable cannot
-    be vectorised, so a ``"vector"`` backend here runs the points
-    through its serial fallback — use :func:`model_grid_sweep` for
-    sweeps that should hit the batched lattice solver.
+    be vectorised, so a vector backend here runs the points one by
+    one (fanned over its pool workers, if it has any) — use
+    :func:`model_grid_sweep` for sweeps that should hit the batched
+    lattice solver.
     ``capture_errors`` — record per-point failures on the returned
     :class:`SweepPoint` instead of raising; implied behaviour of every
     engine backend, re-raised here unless requested.

@@ -28,10 +28,11 @@ Subcommands:
   workers may join, and the server survives them dying mid-chunk.
 
 ``run``, ``paper``, ``sweep`` and ``survivability`` all accept
-``--jobs N|auto|thread[:N]|vector[:N]|remote[:URL]`` (evaluation
-workers; 0/1 = serial; ``vector`` = the structure-sharing batched
-solver; ``vector:N`` = the vector+procs hybrid fanning batch chunks
-over ``N`` pool workers; ``remote`` = submit to a sweep service),
+``--jobs N|auto|vector[:N]|remote[:URL]`` (evaluation backend;
+0/1 = serial; ``vector`` = the structure-sharing batched solver;
+``N`` / ``vector:N`` = the vector+procs hybrid fanning batch chunks
+over ``N`` pool workers, ``auto`` one per usable CPU; ``remote`` =
+submit to a sweep service),
 ``--cache-dir DIR`` (persistent content-addressed
 result cache, safe to share between concurrent processes),
 ``--cache-cap-mb MB`` (LRU disk eviction cap) and
@@ -95,13 +96,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "evaluation workers: N (process pool), 'auto' (one per usable "
-            "CPU), 'thread[:N]' (thread pool), 'vector' (structure-"
-            "sharing batched solver, solves whole sweeps at once), "
-            "'vector:N' (vector+procs hybrid: batched chunks fanned over "
-            "N pool workers), or 'remote[:URL]' (submit to a sweep "
-            "service started with 'serve'; URL defaults to "
-            "$REPRO_SERVICE_URL); 0/1 = serial"
+            "evaluation backend: 'vector' (structure-sharing batched "
+            "solver, solves whole sweeps at once), N or 'vector:N' "
+            "(vector+procs hybrid: batched chunks fanned over N pool "
+            "workers), 'auto' ('vector:auto', one worker per usable CPU), "
+            "or 'remote[:URL]' (submit to a sweep service started with "
+            "'serve'; URL defaults to $REPRO_SERVICE_URL); 0/1 = serial"
         ),
     )
     parser.add_argument(

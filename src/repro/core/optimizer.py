@@ -16,7 +16,7 @@ cost within the system's performance requirement. This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from ..errors import ParameterError
 from ..manet.network import NetworkModel
@@ -98,19 +98,6 @@ class OptimizationResult:
         return "\n".join(lines)
 
 
-def _evaluate_point(
-    params: GCSParameters,
-    tids: float,
-    network: NetworkModel,
-    method: str,
-) -> TradeoffPoint:
-    """Worker for one sweep point (module-level: multiprocessing needs
-    a picklable callable)."""
-    p = params.replacing(detection_interval_s=float(tids))
-    engine = GCSEvaluation(p, network)
-    return TradeoffPoint(tids_s=float(tids), result=engine.run(method=method))
-
-
 def tradeoff_curve(
     params: GCSParameters,
     tids_grid_s: Sequence[float],
@@ -118,71 +105,35 @@ def tradeoff_curve(
     network: Optional[NetworkModel] = None,
     method: str = "fast",
     progress: Optional[Callable[[TradeoffPoint], None]] = None,
-    workers: Union[int, str, None] = None,
+    workers: Optional[str] = None,
 ) -> list[TradeoffPoint]:
     """Evaluate the scenario at every ``TIDS`` in the grid.
 
     The network/mobility stage is resolved once and shared across the
     sweep (the detection interval does not affect mobility).
 
-    ``workers`` > 1 evaluates grid points in parallel with a process
-    pool — sweep points are embarrassingly parallel and each solve is
-    single-threaded, so the speedup is near-linear until memory
-    bandwidth saturates. Results are returned in grid order either way;
-    ``progress`` fires in completion order when parallel.
-
+    ``workers=None`` evaluates the grid point by point;
     ``workers="vector"`` solves the whole grid in one structure-sharing
-    batched sweep (:func:`repro.core.metrics.evaluate_batch`) — no
-    processes, bit-identical results, and typically faster than a
-    process pool because the win is algorithmic, not parallel.
+    batched sweep (:func:`repro.core.metrics.evaluate_batch`) —
+    bit-identical results, typically much faster because the win is
+    algorithmic. Results come back in grid order either way. For a
+    parallel, cached sweep use the engine instead:
+    ``run_tids_sweep(make_runner("vector:N"), params, grid)``
+    (:func:`repro.engine.batch.run_tids_sweep`).
     """
+    if workers not in (None, "vector"):
+        raise ParameterError(f"workers must be None or 'vector', got {workers!r}")
     grid = require_sorted_unique("tids_grid_s", tids_grid_s)
     net = resolve_network(params, network)
 
-    if isinstance(workers, str):
-        if workers != "vector":
-            raise ParameterError(
-                f"workers must be an int or 'vector', got {workers!r}"
-            )
-        results = evaluate_batch(
-            [
-                (params.replacing(detection_interval_s=float(tids)), net)
-                for tids in grid
-            ],
-            method=method,
-        )
-        points = [
-            TradeoffPoint(tids_s=float(tids), result=result)
-            for tids, result in zip(grid, results)
-        ]
-        if progress is not None:
-            for point in points:
-                progress(point)
-        return points
-
-    if workers is not None and workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    if workers and workers > 1 and len(grid) > 1:
-        import concurrent.futures
-
-        points_by_tids: dict[float, TradeoffPoint] = {}
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(grid))
-        ) as pool:
-            futures = {
-                pool.submit(_evaluate_point, params, tids, net, method): tids
-                for tids in grid
-            }
-            for future in concurrent.futures.as_completed(futures):
-                point = future.result()
-                points_by_tids[point.tids_s] = point
-                if progress is not None:
-                    progress(point)
-        return [points_by_tids[float(t)] for t in grid]
-
+    tids_params = [params.replacing(detection_interval_s=float(t)) for t in grid]
+    if workers == "vector":
+        results = evaluate_batch([(p, net) for p in tids_params], method=method)
+    else:  # lazily, so progress fires as each point finishes
+        results = (GCSEvaluation(p, net).run(method=method) for p in tids_params)
     points: list[TradeoffPoint] = []
-    for tids in grid:
-        point = _evaluate_point(params, tids, net, method)
+    for tids, result in zip(grid, results):
+        point = TradeoffPoint(tids_s=float(tids), result=result)
         points.append(point)
         if progress is not None:
             progress(point)
@@ -246,7 +197,7 @@ def optimize_tids(
     cost_ceiling_hop_bits_s: Optional[float] = None,
     network: Optional[NetworkModel] = None,
     method: str = "fast",
-    workers: Union[int, str, None] = None,
+    workers: Optional[str] = None,
 ) -> OptimizationResult:
     """Pick the best ``TIDS`` on a grid.
 
@@ -257,9 +208,8 @@ def optimize_tids(
       satisfying imposed performance requirements");
     * ``"min-ctotal"`` — minimise Ĉtotal (Figure 3/5 reading).
 
-    ``workers`` follows :func:`tradeoff_curve` — an int fans grid
-    points over a process pool, ``"vector"`` solves them in one
-    structure-sharing batched sweep.
+    ``workers`` follows :func:`tradeoff_curve` — ``"vector"`` solves
+    the grid in one structure-sharing batched sweep.
     """
     # Validate before evaluating so bad objectives fail fast.
     _validate_objective(objective, cost_ceiling_hop_bits_s)

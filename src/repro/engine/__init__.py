@@ -19,8 +19,8 @@ Modules:
 ``locks``          advisory file locking (fcntl/msvcrt) for shared dirs
 ``cache``          persistent disk store (locked writes, LRU eviction)
                    + in-memory LRU, hit/miss/eviction stats
-``executor``       serial / process-pool / thread-pool / vectorised
-                   backends with error capture; ``make_backend("auto")``
+``executor``       serial / vectorised (+ process-pool chunks) backends
+                   with error capture; ``make_backend("auto")``
                    selection
 ``batch``          dedup → cache → evaluate → store composition
 ``jobs``           declarative job specs and multi-figure campaigns
@@ -62,9 +62,7 @@ from .executor import (
     ExecutionBackend,
     OutcomeFn,
     PointOutcome,
-    ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     VectorBackend,
     available_cpus,
     make_backend,
@@ -95,8 +93,6 @@ __all__ = [
     "ProgressFn",
     "PointOutcome",
     "SerialBackend",
-    "ProcessPoolBackend",
-    "ThreadPoolBackend",
     "VectorBackend",
     "available_cpus",
     "make_backend",

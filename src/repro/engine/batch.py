@@ -575,7 +575,8 @@ def make_runner(
     """One-call runner factory shared by the CLI and the examples.
 
     ``jobs`` follows the :func:`~repro.engine.executor.make_backend`
-    grammar (``N``, ``"auto"``, ``"thread[:N]"``; ``None`` = serial).
+    grammar (``N``, ``"auto"``, ``"vector[:N]"``, ``"remote[:URL]"``;
+    ``None`` = serial).
     ``cache_dir=None`` gives a memory-only cache; ``cache_cap_mb``
     bounds a persistent one (LRU-by-mtime disk eviction).
     """

@@ -1,43 +1,38 @@
 """Pluggable execution backends for batch evaluation.
 
-Four backends behind one ``run(fn, items)`` contract:
+Two local backends behind one ``run(fn, items)`` contract:
 
 * :class:`SerialBackend` — in-process loop, zero overhead, the
-  reference semantics;
-* :class:`ProcessPoolBackend` — ``concurrent.futures`` process pool
-  with chunked dispatch (one IPC round-trip per chunk, not per point);
-* :class:`ThreadPoolBackend` — ``concurrent.futures`` thread pool for
-  workloads that release the GIL (the scipy sparse solves at the heart
-  of an evaluation spend their time in native code); zero pickling, so
-  it also accepts unpicklable callables and items.
+  reference semantics (the oracle every other backend is tested
+  against);
 * :class:`VectorBackend` — model-evaluation and survivability batches
   are recognised and solved *simultaneously* by the structure-sharing
   batched solvers (:func:`repro.core.metrics.evaluate_batch_outcomes`
   / :func:`repro.core.metrics.evaluate_survivability_batch_outcomes`);
-  anything else falls back to an inner backend (serial by default).
-  The speedup is algorithmic, so it stacks with single-core machines —
-  and with ``chunk_workers`` set (``--jobs vector:N``) independent
-  chunks additionally fan out over a process pool (the vector+procs
-  hybrid), stacking multi-core scaling on top.
+  anything else runs point by point. The speedup is algorithmic, so it
+  stacks with single-core machines — and with ``chunk_workers`` set
+  (``--jobs N`` / ``--jobs vector:N``) independent chunks additionally
+  fan out over one process pool (the vector+procs hybrid): batched
+  chunks for engine requests, per-point :func:`run_chunk` chunks for
+  everything else.
 
-All return :class:`PointOutcome` records in **input order** regardless
-of completion order, and all capture per-point exceptions into the
+Both return :class:`PointOutcome` records in **input order** regardless
+of completion order, and both capture per-point exceptions into the
 outcome instead of aborting the whole batch — a sweep with one
 pathological grid point still yields the other N−1 results. The
 backends are observationally equivalent: same inputs, same outcomes,
 same ordering (asserted by the test suite; the vector backend is
-additionally *bit-identical* to the others on model and survivability
+additionally *bit-identical* to serial on model and survivability
 batches).
 
-A fifth backend lives in :mod:`repro.service`:
+A third backend lives in :mod:`repro.service`:
 :class:`~repro.service.client.RemoteBackend` (``--jobs remote[:URL]``)
 submits engine batches to a sweep-service job server over HTTP and
 streams the outcomes back — same contract, same ordering, evaluation
 on another process or host.
 
 :func:`make_backend` maps the CLI's ``--jobs`` grammar (``N``,
-``auto``, ``thread[:N]``, ``vector[:N]``, ``remote[:URL]``) onto a
-backend;
+``auto``, ``vector[:N]``, ``remote[:URL]``) onto a backend;
 :func:`available_cpus` is the ``auto`` worker count (cgroup/affinity
 aware where the platform exposes it).
 """
@@ -50,7 +45,7 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
@@ -74,8 +69,6 @@ __all__ = [
     "PointOutcome",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
-    "ThreadPoolBackend",
     "VectorBackend",
     "available_cpus",
     "make_backend",
@@ -92,14 +85,6 @@ def _init_pool_worker(obs_config) -> None:
     init_worker(obs_config)
     with span("worker.init"):
         metrics().counter("pool.workers_initialized").add()
-
-
-def _pool_init_kwargs() -> dict:
-    """ProcessPoolExecutor initializer kwargs (obs handoff)."""
-    return {
-        "initializer": _init_pool_worker,
-        "initargs": (worker_config(),),
-    }
 
 
 @dataclass(frozen=True)
@@ -132,15 +117,11 @@ def _evaluate_one(fn: Callable[[Any], Any], index: int, item: Any) -> PointOutco
         return PointOutcome(index=index, value=fn(item))
     except Exception as exc:  # noqa: BLE001 — per-point capture is the contract
         log.debug("point %d failed: %s: %s", index, type(exc).__name__, exc)
-        try:
-            carried = pickle.loads(pickle.dumps(exc))
-        except Exception:  # noqa: BLE001 — unpicklable exception
-            carried = None
         return PointOutcome(
             index=index,
             error=str(exc),
             error_type=type(exc).__name__,
-            exception=carried,
+            exception=_carry(exc),
             traceback=traceback_module.format_exc(),
         )
 
@@ -154,8 +135,8 @@ def run_chunk(
 ) -> tuple[list[PointOutcome], dict]:
     """Evaluate one ``(index, item)`` chunk under telemetry capture.
 
-    This is the chunk protocol every fan-out tier shares: process-pool
-    workers run it via the pickled :func:`_run_chunk` wrapper, and
+    This is the chunk protocol every fan-out tier shares: the
+    :class:`VectorBackend` pool runs it on per-point chunks, and
     service workers (:mod:`repro.service.worker`) call it directly on
     leased chunks — same span, same telemetry-delta payload, so the
     parent/server absorbs either origin identically.
@@ -178,30 +159,15 @@ def run_chunk(
     return outcomes, capture.payload
 
 
-def _run_chunk(
-    fn: Callable[[Any], Any],
-    chunk: Sequence[tuple[int, Any]],
-    submitted_at: Optional[float] = None,
-) -> tuple[list[PointOutcome], dict]:
-    """Worker-side loop (module level so the pool can pickle it).
-
-    Returns the outcomes plus a telemetry payload — the metrics delta
-    and any spans recorded while the chunk ran — for the parent to
-    absorb (see :mod:`repro.obs.runtime`).
-    """
-    return run_chunk(fn, chunk, submitted_at)
-
-
 def _run_solve_chunk(
     solve: Callable[..., list[PointOutcome]],
     requests: Sequence[Any],
-    max_bytes: int,
     submitted_at: Optional[float] = None,
 ) -> tuple[list[PointOutcome], dict]:
-    """Telemetry-capturing wrapper for the vector+procs chunk fan-out."""
+    """Telemetry-capturing wrapper for the vector+procs batched chunks."""
     with telemetry_capture(submitted_at) as capture:
         with span("chunk.solve", points=len(requests)):
-            outcomes = solve(requests, max_bytes)
+            outcomes = solve(requests)
     return outcomes, capture.payload
 
 
@@ -256,130 +222,6 @@ class SerialBackend:
         return "serial"
 
 
-class ProcessPoolBackend:
-    """Chunked ``ProcessPoolExecutor`` backend.
-
-    ``chunksize=None`` auto-sizes to about four chunks per worker — small
-    enough to balance load across uneven point costs, large enough that
-    pickling overhead stays negligible. ``fn`` and the items must be
-    picklable (the engine's evaluation requests are).
-
-    Each worker builds the lattice skeletons it needs through its own
-    per-process :func:`~repro.core.fastpath.lattice_structure` cache,
-    once per ``N``, on its first chunk.
-    """
-
-    def __init__(
-        self,
-        max_workers: int,
-        *,
-        chunksize: Optional[int] = None,
-    ) -> None:
-        if max_workers < 1:
-            raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ParameterError(f"chunksize must be >= 1, got {chunksize}")
-        self.max_workers = max_workers
-        self.chunksize = chunksize
-
-    def _chunksize_for(self, n_items: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
-        return max(1, math.ceil(n_items / (self.max_workers * 4)))
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        on_outcome: Optional[OutcomeFn] = None,
-    ) -> list[PointOutcome]:
-        """Fan chunks of items over a process pool; input order preserved."""
-        indexed = list(enumerate(items))
-        if not indexed:
-            return []
-        if len(indexed) == 1:  # pool spin-up is never worth one point
-            return SerialBackend().run(fn, items, on_outcome=on_outcome)
-        size = self._chunksize_for(len(indexed))
-        chunks = [indexed[i : i + size] for i in range(0, len(indexed), size)]
-        outcomes: list[Optional[PointOutcome]] = [None] * len(indexed)
-        workers = min(self.max_workers, len(chunks))
-        with span(
-            "pool.run", workers=workers, chunks=len(chunks), points=len(indexed)
-        ):
-            with ProcessPoolExecutor(
-                max_workers=workers, **_pool_init_kwargs()
-            ) as pool:
-                futures = [
-                    pool.submit(_run_chunk, fn, chunk, time.time())
-                    for chunk in chunks
-                ]
-                for future in futures:
-                    # Point-level errors are already captured inside the
-                    # chunk; a future-level error means the worker died
-                    # (unpicklable fn, OOM kill) and should propagate.
-                    chunk_outcomes, telemetry = future.result()
-                    absorb_telemetry(telemetry)
-                    for outcome in chunk_outcomes:
-                        outcomes[outcome.index] = outcome
-                        _notify(on_outcome, outcome)
-        assert all(o is not None for o in outcomes)
-        return outcomes  # type: ignore[return-value]
-
-    def describe(self) -> str:
-        """Short backend description with worker count."""
-        return f"process-pool(workers={self.max_workers})"
-
-
-class ThreadPoolBackend:
-    """Thread-pool backend for solver-releasing-GIL workloads.
-
-    The heavy part of a model evaluation — the sparse linear solve —
-    runs in native scipy/BLAS code that releases the GIL, so threads
-    overlap it without process spin-up or pickling costs. Pure-Python
-    stages still serialise on the GIL, which is why the process pool
-    stays the default for ``--jobs N``; threads win when spawn cost or
-    unpicklable work dominates.
-    """
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        on_outcome: Optional[OutcomeFn] = None,
-    ) -> list[PointOutcome]:
-        """Evaluate items on a thread pool; input order preserved."""
-        indexed = list(enumerate(items))
-        if not indexed:
-            return []
-        if len(indexed) == 1:  # pool spin-up is never worth one point
-            return SerialBackend().run(fn, items, on_outcome=on_outcome)
-        with span("pool.run_threads", workers=self.max_workers, points=len(indexed)):
-            with ThreadPoolExecutor(
-                max_workers=min(self.max_workers, len(indexed))
-            ) as pool:
-                futures = [
-                    pool.submit(_evaluate_one, fn, index, item)
-                    for index, item in indexed
-                ]
-                outcomes = []
-                for future in futures:
-                    outcome = future.result()
-                    _notify(on_outcome, outcome)
-                    outcomes.append(outcome)
-                return outcomes
-
-    def describe(self) -> str:
-        """Short backend description with worker count."""
-        return f"thread-pool(workers={self.max_workers})"
-
-
 def _carry(exc: BaseException) -> Optional[BaseException]:
     """The exception object iff it survives a pickle round-trip."""
     try:
@@ -421,7 +263,7 @@ def _outcomes_from_batch(
 
 
 def _solve_model_chunk(
-    requests: Sequence[Any], max_bytes: int, *, sanitize: bool = True
+    requests: Sequence[Any], *, sanitize: bool = True
 ) -> list[PointOutcome]:
     """Solve one homogeneous chunk of ``EvalRequest`` items (picklable:
     this is what the vector+procs hybrid ships to pool workers)."""
@@ -433,13 +275,12 @@ def _solve_model_chunk(
         method=first.method,
         include_breakdown=first.include_breakdown,
         include_variance=first.include_variance,
-        max_batch_bytes=max_bytes,
     )
     return _outcomes_from_batch(batch, sanitize=sanitize)
 
 
 def _solve_survivability_chunk(
-    requests: Sequence[Any], max_bytes: int, *, sanitize: bool = True
+    requests: Sequence[Any], *, sanitize: bool = True
 ) -> list[PointOutcome]:
     """Survivability counterpart of :func:`_solve_model_chunk`."""
     from ..core.metrics import evaluate_survivability_batch_outcomes
@@ -449,7 +290,6 @@ def _solve_survivability_chunk(
         [(r.params, r.network) for r in requests],
         times=first.times_s,
         eps=first.eps,
-        max_batch_bytes=max_bytes,
     )
     return _outcomes_from_batch(batch, sanitize=sanitize)
 
@@ -468,20 +308,22 @@ class VectorBackend:
     requests are grouped by solver options, each group shares one
     cached lattice structure per ``N``, and a single multi-point sweep
     solves every grid point at once — bit-identical results, no
-    processes, no pickling. ``spn``/``spn-coupled`` requests and
-    arbitrary callables fall back to ``fallback`` (serial by default),
-    so the backend is safe to use anywhere a backend is accepted.
+    processes, no pickling. Arbitrary callables (and mixed
+    ``evaluate_auto`` batches) run point by point, so the backend is
+    safe to use anywhere a backend is accepted.
 
-    ``chunk_workers`` is the **vector+procs hybrid** (``--jobs
-    vector:N``): each homogeneous group is split into independent
-    chunks that are fanned out over a process pool, every worker
-    running the batched solver on its chunk. Per-point arithmetic in
-    the batched solvers never mixes points, so chunked results are
-    byte-identical to the single-process vector path — the hybrid
-    simply stacks multi-core scaling on top of the algorithmic win.
-    Each worker builds the lattice skeleton once per ``N``, on its first
-    chunk, through its own per-process structure cache. Groups too small
-    to fill two chunks solve in-process (pool spin-up is never worth it).
+    ``chunk_workers`` is the **vector+procs hybrid** (``--jobs N`` /
+    ``--jobs vector:N``): each homogeneous group is split into about two
+    input-order chunks per worker, fanned out over one process pool.
+    Engine groups ship as batched solves (every worker runs the batched
+    solver on its chunk); everything else ships as per-point
+    :func:`run_chunk` chunks, so ``fn`` and the items must then be
+    picklable. Per-point arithmetic in the batched solvers never mixes
+    points, so chunked results are byte-identical to the single-process
+    vector path. Each worker builds the lattice skeleton once per ``N``,
+    on its first chunk, through its own per-process structure cache.
+    Work too small to fill two chunks runs in-process (pool spin-up is
+    never worth it).
 
     Composes with the result cache exactly like every other backend:
     the :class:`~repro.engine.batch.BatchRunner` fingerprints and
@@ -489,33 +331,21 @@ class VectorBackend:
     the same content-addressed keys as per-point runs.
     """
 
-    def __init__(
-        self,
-        *,
-        fallback: Optional["ExecutionBackend"] = None,
-        max_batch_bytes: Optional[int] = None,
-        chunk_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, *, chunk_workers: Optional[int] = None) -> None:
         if chunk_workers is not None and chunk_workers < 1:
             raise ParameterError(f"chunk_workers must be >= 1, got {chunk_workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.fallback = fallback if fallback is not None else SerialBackend()
-        self.max_batch_bytes = max_batch_bytes
         self.chunk_workers = chunk_workers
-        self.chunk_size = chunk_size
 
     def _batch_kind(
         self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> Optional[str]:
-        """Classify a canonical engine batch; ``None`` means fall back.
+        """Classify a canonical engine batch; ``None`` means per point.
 
         ``evaluate_auto`` (the sweep service's type-dispatching
         evaluator) is recognised too, as long as the batch is
-        homogeneous — a mixed eval/survivability batch falls back to
-        the inner backend, which stays correct (``evaluate_auto``
-        dispatches per item) at per-point speed.
+        homogeneous — a mixed eval/survivability batch runs point by
+        point, which stays correct (``evaluate_auto`` dispatches per
+        item) at per-point speed.
         """
         from .batch import (
             EvalRequest,
@@ -546,13 +376,11 @@ class VectorBackend:
 
     def _chunks(self, indices: list[int]) -> list[list[int]]:
         """Deterministic input-order chunking for the process fan-out."""
-        assert self.chunk_workers is not None
-        size = self.chunk_size
-        if size is None:
-            # ~2 chunks per worker: enough slack to balance uneven
-            # chunk costs without shredding the batches the solver
-            # amortises over.
-            size = max(1, math.ceil(len(indices) / (self.chunk_workers * 2)))
+        if not self.chunk_workers:
+            return [indices]
+        # ~2 chunks per worker: enough slack to balance uneven chunk
+        # costs without shredding the batches the solver amortises over.
+        size = max(1, math.ceil(len(indices) / (self.chunk_workers * 2)))
         return [indices[i : i + size] for i in range(0, len(indices), size)]
 
     def run(
@@ -563,79 +391,72 @@ class VectorBackend:
         on_outcome: Optional[OutcomeFn] = None,
     ) -> list[PointOutcome]:
         """Evaluate a batch, routing homogeneous engine requests to the
-        batched solvers and everything else to the per-point fallback.
+        batched solvers and everything else point by point.
         """
         if not items:
             return []
         kind = self._batch_kind(fn, items)
-        if kind is None:
-            return self.fallback.run(fn, items, on_outcome=on_outcome)
-
-        from ..core.metrics import DEFAULT_BATCH_BYTES
-
-        solve = _solve_model_chunk if kind == "model" else _solve_survivability_chunk
-        max_bytes = (
-            self.max_batch_bytes
-            if self.max_batch_bytes is not None
-            else DEFAULT_BATCH_BYTES
-        )
-        # One batched solve per distinct option bundle; scatter the
-        # outcomes back into input order.
-        outcomes: list[Optional[PointOutcome]] = [None] * len(items)
+        solve = {
+            "model": _solve_model_chunk,
+            "survivability": _solve_survivability_chunk,
+        }.get(kind)
+        # One batched solve per distinct option bundle (one group of
+        # every point when per point); scatter the outcomes back into
+        # input order.
         groups: dict[tuple, list[int]] = {}
-        for i, request in enumerate(items):
-            groups.setdefault(self._group_key(kind, request), []).append(i)
+        for i, item in enumerate(items):
+            key = () if kind is None else self._group_key(kind, item)
+            groups.setdefault(key, []).append(i)
 
         inline: list[list[int]] = []
         fanned: list[list[int]] = []
         for indices in groups.values():
-            chunks = self._chunks(indices) if self.chunk_workers else [indices]
+            chunks = self._chunks(indices)
             if len(chunks) > 1:
                 fanned.extend(chunks)
             else:
                 inline.append(indices)
 
+        outcomes: list[Optional[PointOutcome]] = [None] * len(items)
+
         def scatter(chunk: list[int], chunk_outcomes: list[PointOutcome]) -> None:
-            for local, i in zip(chunk_outcomes, chunk):
-                outcome = PointOutcome(
-                    index=i,
-                    value=local.value,
-                    error=local.error,
-                    error_type=local.error_type,
-                    exception=local.exception,
-                    traceback=local.traceback,
-                )
+            for i, local in zip(chunk, chunk_outcomes):
+                outcome = replace(local, index=i)
                 outcomes[i] = outcome
                 _notify(on_outcome, outcome)
 
         for indices in inline:
-            with span("vector.solve", kind=kind, points=len(indices)):
-                scatter(
-                    indices,
-                    solve([items[i] for i in indices], max_bytes, sanitize=False),
-                )
+            if solve is None:
+                for i in indices:
+                    scatter([i], [_evaluate_one(fn, i, items[i])])
+            else:
+                with span("vector.solve", kind=kind, points=len(indices)):
+                    requests = [items[i] for i in indices]
+                    scatter(indices, solve(requests, sanitize=False))
         if fanned:
             assert self.chunk_workers is not None
             workers = min(self.chunk_workers, len(fanned))
             with span(
-                "vector.pool_run", kind=kind, workers=workers, chunks=len(fanned)
+                "vector.pool_run",
+                kind=kind or "points",
+                workers=workers,
+                chunks=len(fanned),
             ):
                 with ProcessPoolExecutor(
-                    max_workers=workers, **_pool_init_kwargs()
+                    max_workers=workers,
+                    initializer=_init_pool_worker,
+                    initargs=(worker_config(),),
                 ) as pool:
-                    futures = [
-                        pool.submit(
-                            _run_solve_chunk,
-                            solve,
-                            [items[i] for i in chunk],
-                            max_bytes,
-                            time.time(),
-                        )
-                        for chunk in fanned
-                    ]
-                    # A future-level error means the worker died (OOM
-                    # kill, unpicklable payload) and should propagate,
-                    # exactly like ProcessPoolBackend.
+                    futures = []
+                    for chunk in fanned:
+                        if solve is None:
+                            task = (run_chunk, fn, [(i, items[i]) for i in chunk])
+                        else:
+                            task = (_run_solve_chunk, solve, [items[i] for i in chunk])
+                        futures.append(pool.submit(*task, time.time()))
+                    # Point-level errors are already captured inside the
+                    # chunk; a future-level error means the worker died
+                    # (OOM kill, unpicklable payload) and should propagate.
                     for chunk, future in zip(fanned, futures):
                         chunk_outcomes, telemetry = future.result()
                         absorb_telemetry(telemetry)
@@ -662,18 +483,14 @@ def make_backend(jobs: Union[int, str, None]) -> ExecutionBackend:
     """Map the shared ``--jobs`` grammar onto a backend.
 
     * ``None`` / ``0`` / ``1`` / ``"serial"`` — :class:`SerialBackend`;
-    * ``n > 1`` (int or numeric string) — process pool with ``n``
-      workers;
-    * ``"auto"`` — process pool sized to :func:`available_cpus`
-      (serial when only one CPU is usable);
-    * ``"thread"`` / ``"thread:auto"`` — thread pool sized to
-      :func:`available_cpus`;
-    * ``"thread:N"`` — thread pool with ``N`` workers;
     * ``"vector"`` — :class:`VectorBackend` (structure-sharing batched
       solver; no worker processes needed);
-    * ``"vector:N"`` / ``"vector:auto"`` — the vector+procs hybrid:
-      batched solving *and* ``N`` (or one-per-CPU) pool workers, each
-      solving independent chunks of the batch;
+    * ``n > 1`` (int or numeric string) / ``"vector:N"`` — the
+      vector+procs hybrid: batched solving *and* ``N`` pool workers,
+      each solving independent chunks of the batch;
+    * ``"auto"`` / ``"vector:auto"`` — the hybrid with one worker per
+      :func:`available_cpus` (plain ``vector`` when only one CPU is
+      usable);
     * ``"remote"`` / ``"remote:URL"`` — submit engine batches to a
       sweep-service job server (:mod:`repro.service`) instead of
       evaluating locally; the bare form reads the URL from
@@ -693,6 +510,8 @@ def make_backend(jobs: Union[int, str, None]) -> ExecutionBackend:
             if not url:
                 url = os.environ.get("REPRO_SERVICE_URL", DEFAULT_SERVICE_URL)
             return RemoteBackend(url, fallback=SerialBackend())
+        if spec == "auto":
+            spec = "vector:auto"
         if spec == "vector" or spec.startswith("vector:"):
             _, colon, count = spec.partition(":")
             if not colon:
@@ -708,32 +527,15 @@ def make_backend(jobs: Union[int, str, None]) -> ExecutionBackend:
                     f"got {jobs!r}"
                 ) from None
             return VectorBackend(chunk_workers=workers)
-        if spec == "auto":
-            n = available_cpus()
-            if n <= 1:
-                return SerialBackend()
-            return ProcessPoolBackend(max_workers=n)
-        if spec == "thread" or spec.startswith("thread:"):
-            _, colon, count = spec.partition(":")
-            if count == "auto" or not colon:
-                return ThreadPoolBackend(max_workers=available_cpus())
-            try:
-                workers = int(count)
-            except ValueError:
-                raise ParameterError(
-                    "thread worker count must be an integer or 'auto', "
-                    f"got {jobs!r}"
-                ) from None
-            return ThreadPoolBackend(max_workers=workers)
         try:
             jobs = int(spec)
         except ValueError:
             raise ParameterError(
-                "jobs must be N, 'auto', 'serial', 'vector[:N]', "
-                f"'thread[:N]' or 'remote[:URL]', got {jobs!r}"
+                "jobs must be N, 'auto', 'serial', 'vector[:N]' or "
+                f"'remote[:URL]', got {jobs!r}"
             ) from None
     if jobs is not None and jobs < 0:
         raise ParameterError(f"jobs must be >= 0, got {jobs}")
     if jobs is None or jobs <= 1:
         return SerialBackend()
-    return ProcessPoolBackend(max_workers=jobs)
+    return VectorBackend(chunk_workers=jobs)

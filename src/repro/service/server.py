@@ -11,7 +11,7 @@ Two layers, deliberately separable:
     submitting overlapping grids share work automatically, and a
     resubmission of a finished campaign is 100% cache hits.  Jobs run
     one at a time on purpose — the evaluation backend underneath
-    (vector / process pool) already owns the machine's parallelism, and
+    (``vector[:N]``) already owns the machine's parallelism, and
     serial job execution keeps each job's metrics delta clean.
 :class:`ServiceServer`
     A minimal ``asyncio`` HTTP/1.1 front end (stdlib only, no web

@@ -8,9 +8,11 @@ quick-campaign equality is asserted by
 ``benchmarks/bench_batch_solver.py`` and the N = 100 campaign is
 pinned by ``perfbench/reference/paper-full.json``), and cover the
 engine routing: ``VectorBackend`` / ``--jobs vector``, cache hit/miss
-parity with the process-pool path, ``tradeoff_curve(workers="vector")``
+parity across serial, vector and vector:N, ``tradeoff_curve(workers="vector")``
 and ``model_grid_sweep``.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -532,8 +534,8 @@ class TestVectorBackend:
             _assert_identical(result, evaluate(request.params))
 
 
-class TestCacheParityVectorVsWorkers:
-    """--jobs vector and --jobs N must be cache-indistinguishable."""
+class TestModelCacheParityAcrossBackends:
+    """serial, vector and vector:N must be cache-indistinguishable."""
 
     GRID = [
         EvalRequest(
@@ -561,14 +563,21 @@ class TestCacheParityVectorVsWorkers:
         return stats, results
 
     def test_hit_miss_parity_both_orders(self, tmp_path):
-        stats_v, results_v = self._cold_then_warm(tmp_path, "vector", 2)
-        stats_p, results_p = self._cold_then_warm(tmp_path, 2, "vector")
+        # The per-point oracle, the batched solver and its pool fan-out,
+        # every pair cold-then-warm in both orders.
+        legs = ("serial", "vector", "vector:2")
+        runs = [
+            self._cold_then_warm(tmp_path, cold, warm)
+            for cold, warm in itertools.permutations(legs, 2)
+        ]
         # Same hit/miss profile regardless of which backend ran first:
         # cold run all misses, warm run served entirely by the other
         # backend's records (same content-addressed keys).
-        assert stats_v == stats_p == [(0, len(self.GRID)), (len(self.GRID), 0)]
+        for stats, _ in runs:
+            assert stats == [(0, len(self.GRID)), (len(self.GRID), 0)]
         # And every combination produced identical numbers.
-        assert results_v[0] == results_v[1] == results_p[0] == results_p[1]
+        values = [mttsf for _, results in runs for mttsf in results]
+        assert all(v == values[0] for v in values)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,10 @@ class TestSweepCommand:
     def test_jobs_accepts_backend_grammar(self):
         args = build_parser().parse_args(["run", "fig2", "--jobs", "auto"])
         assert args.jobs == "auto"
-        args = build_parser().parse_args(["run", "fig2", "--jobs", "thread:2"])
-        assert args.jobs == "thread:2"
+        args = build_parser().parse_args(["run", "fig2", "--jobs", "2"])
+        assert args.jobs == 2
+        args = build_parser().parse_args(["run", "fig2", "--jobs", "vector:2"])
+        assert args.jobs == "vector:2"
 
     def test_bad_jobs_spec_is_an_error(self, capsys):
         assert main(["run", "scale", "--jobs", "nonsense"]) == 2

@@ -14,11 +14,10 @@ from repro.engine import (
     Campaign,
     EvalRequest,
     FileLock,
-    ProcessPoolBackend,
     ResultCache,
     SerialBackend,
     SweepJob,
-    ThreadPoolBackend,
+    VectorBackend,
     available_cpus,
     load_campaign,
     make_backend,
@@ -353,8 +352,9 @@ class TestMakeRunner:
         assert runner.cache.cache_dir is None
 
     def test_flags_build_cache_and_backend(self, tmp_path):
-        runner = make_runner("thread:2", tmp_path, cache_cap_mb=1.0)
-        assert isinstance(runner.backend, ThreadPoolBackend)
+        runner = make_runner("2", tmp_path, cache_cap_mb=1.0)
+        assert isinstance(runner.backend, VectorBackend)
+        assert runner.backend.chunk_workers == 2
         assert runner.cache.cache_dir == tmp_path
         assert runner.cache.max_disk_bytes == 1024 * 1024
 
@@ -383,31 +383,27 @@ class TestExecutors:
         assert [o.value for o in outcomes] == [9, 1, 4]
         assert [o.index for o in outcomes] == [0, 1, 2]
 
-    def test_pool_matches_serial(self):
+    @pytest.mark.parametrize(
+        "backend", [VectorBackend(), VectorBackend(chunk_workers=2)]
+    )
+    def test_pool_matches_serial(self, backend):
         items = list(range(7))
         serial = SerialBackend().run(_square, items)
-        pooled = ProcessPoolBackend(2, chunksize=2).run(_square, items)
+        pooled = backend.run(_square, items)
         assert [(o.index, o.value, o.error) for o in serial] == [
             (o.index, o.value, o.error) for o in pooled
         ]
 
-    def test_thread_pool_matches_serial(self):
-        items = list(range(7))
-        serial = SerialBackend().run(_square, items)
-        threaded = ThreadPoolBackend(3).run(_square, items)
-        assert [(o.index, o.value, o.error) for o in serial] == [
-            (o.index, o.value, o.error) for o in threaded
-        ]
-
-    def test_thread_pool_accepts_unpicklable_fn(self):
-        # Closures can't cross a process boundary; threads don't care.
+    def test_vector_accepts_unpicklable_fn(self):
+        # Closures can't cross a process boundary; without pool workers
+        # nothing is pickled.
         offset = 10
-        outcomes = ThreadPoolBackend(2).run(lambda x: x + offset, [1, 2, 3])
+        outcomes = VectorBackend().run(lambda x: x + offset, [1, 2, 3])
         assert [o.value for o in outcomes] == [11, 12, 13]
 
     @pytest.mark.parametrize(
         "backend",
-        [SerialBackend(), ProcessPoolBackend(2), ThreadPoolBackend(2)],
+        [SerialBackend(), VectorBackend(), VectorBackend(chunk_workers=2)],
     )
     def test_error_capture(self, backend):
         outcomes = backend.run(_explode_on_two, [1, 2, 3])
@@ -418,7 +414,7 @@ class TestExecutors:
         assert isinstance(outcomes[1].exception, ValueError)
 
     @pytest.mark.parametrize(
-        "backend", [ProcessPoolBackend(2), ThreadPoolBackend(2)]
+        "backend", [VectorBackend(), VectorBackend(chunk_workers=2)]
     )
     def test_empty_and_single_item(self, backend):
         assert backend.run(_square, []) == []
@@ -428,36 +424,27 @@ class TestExecutors:
         assert isinstance(make_backend(None), SerialBackend)
         assert isinstance(make_backend(0), SerialBackend)
         assert isinstance(make_backend(1), SerialBackend)
-        assert isinstance(make_backend(3), ProcessPoolBackend)
+        assert isinstance(make_backend(3), VectorBackend)
+        assert make_backend(3).chunk_workers == 3
         with pytest.raises(ParameterError):
             make_backend(-1)
 
     def test_make_backend_string_grammar(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("1"), SerialBackend)
-        assert isinstance(make_backend("3"), ProcessPoolBackend)
+        assert make_backend("3").chunk_workers == 3
         auto = make_backend("auto")
-        if available_cpus() > 1:
-            assert isinstance(auto, ProcessPoolBackend)
-            assert auto.max_workers == available_cpus()
-        else:
-            assert isinstance(auto, SerialBackend)
-        threads = make_backend("thread")
-        assert isinstance(threads, ThreadPoolBackend)
-        assert threads.max_workers == available_cpus()
-        assert make_backend("thread:5").max_workers == 5
-        assert isinstance(make_backend("thread:auto"), ThreadPoolBackend)
-        for bad in ("nonsense", "thread:x", "thread:"):
+        assert isinstance(auto, VectorBackend)
+        assert auto.describe() == make_backend("vector:auto").describe()
+        for bad in ("nonsense", "thread", "thread:2", "vector:", "-2"):
             with pytest.raises(ParameterError):
                 make_backend(bad)
 
     def test_backend_validation(self):
         with pytest.raises(ParameterError):
-            ProcessPoolBackend(0)
+            VectorBackend(chunk_workers=0)
         with pytest.raises(ParameterError):
-            ProcessPoolBackend(2, chunksize=0)
-        with pytest.raises(ParameterError):
-            ThreadPoolBackend(0)
+            make_backend("vector:0")
 
     def test_available_cpus_positive(self):
         assert available_cpus() >= 1
@@ -526,10 +513,10 @@ class TestBatchRunner:
             p.ctotal_hop_bits_s for p in expected
         ]
 
-    def test_process_pool_matches_serial(self, params):
+    def test_vector_procs_matches_serial(self, params):
         serial = run_tids_sweep(BatchRunner(), params, GRID)
         pooled = run_tids_sweep(
-            BatchRunner(backend=ProcessPoolBackend(2)), params, GRID
+            BatchRunner(backend=VectorBackend(chunk_workers=2)), params, GRID
         )
         assert [p.mttsf_s for p in serial] == [p.mttsf_s for p in pooled]
 
@@ -722,6 +709,6 @@ class TestGridSweepEngine:
 
     def test_process_backend_sweep(self):
         pts = grid_sweep(
-            {"x": list(range(5))}, _square, backend=ProcessPoolBackend(2)
+            {"x": list(range(5))}, _square, backend=VectorBackend(chunk_workers=2)
         )
         assert [p.value for p in pts] == [0, 1, 4, 9, 16]

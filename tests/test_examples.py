@@ -38,19 +38,20 @@ class TestExamples:
     def test_quickstart_engine_flags_and_warm_cache(self, tmp_path):
         cache = str(tmp_path / "cache")
         cold = run_example("quickstart.py", "--cache-dir", cache)
-        warm = run_example(
-            "quickstart.py", "--jobs", "thread:2", "--cache-dir", cache
-        )
         assert "hit rate 0.0%" in cold
-        assert "hit rate 100.0%" in warm
 
         def series_lines(text):
             return [
                 line for line in text.splitlines() if "ResultCache[" not in line
             ]
 
-        # The cached (and thread-pooled) run reproduces the cold run.
-        assert series_lines(cold) == series_lines(warm)
+        for jobs in ("2", "vector:2"):
+            warm = run_example(
+                "quickstart.py", "--jobs", jobs, "--cache-dir", cache
+            )
+            assert "hit rate 100.0%" in warm
+            # The cached (and pooled) run reproduces the cold run.
+            assert series_lines(cold) == series_lines(warm)
 
     def test_battlefield_adaptive_ids(self):
         out = run_example("battlefield_adaptive_ids.py")

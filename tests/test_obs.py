@@ -26,7 +26,7 @@ import pytest
 from repro.engine import (
     BatchRunner,
     EvalRequest,
-    ProcessPoolBackend,
+    VectorBackend,
     make_backend,
 )
 from repro.obs import (
@@ -226,6 +226,10 @@ class TestRegistry:
 # cross-process merge
 # ---------------------------------------------------------------------------
 
+def _pid(_item) -> int:
+    return os.getpid()
+
+
 class TestCrossProcessMerge:
     GRID = [
         EvalRequest(
@@ -265,6 +269,18 @@ class TestCrossProcessMerge:
 
         assert inline["solver.dag_points_solved"] == len(self.GRID)
         assert fanned == inline
+
+    def test_per_point_chunks_leave_the_parent(self):
+        # Arbitrary callables fan out per point on the same pool as the
+        # batched chunks, and their chunk.evaluate spans ship back.
+        enable_tracing()
+        outcomes = VectorBackend(chunk_workers=2).run(_pid, range(8))
+        assert os.getpid() not in {o.value for o in outcomes}
+        evaluate_pids = {
+            r.pid for r in tracer().records() if r.name == "chunk.evaluate"
+        }
+        assert evaluate_pids, "per-point chunk spans were not shipped back"
+        assert os.getpid() not in evaluate_pids
 
     def test_worker_spans_ship_to_parent(self):
         enable_tracing()
@@ -520,10 +536,23 @@ class TestPointErrorTraceback:
         }
 
     def test_pool_traceback_crosses_processes(self, params):
-        bad = EvalRequest(params=params, method="spn", include_breakdown=True)
-        batch = BatchRunner(backend=ProcessPoolBackend(2)).run(
-            [bad, EvalRequest(params=params)]
+        # Two failing points of one option group fill two chunks, so
+        # they leave the parent (a lone failing point would run inline).
+        bad = [
+            EvalRequest(
+                params=params.replacing(num_voters=m),
+                method="spn",
+                include_breakdown=True,
+            )
+            for m in (3, 5)
+        ]
+        enable_tracing()
+        batch = BatchRunner(backend=VectorBackend(chunk_workers=2)).run(
+            [*bad, EvalRequest(params=params)]
         )
-        (error,) = batch.report.errors
-        assert "Traceback" in error.traceback
-        assert "ParameterError" in error.traceback
+        solve_pids = {r.pid for r in tracer().records() if r.name == "chunk.solve"}
+        assert solve_pids and os.getpid() not in solve_pids
+        assert len(batch.report.errors) == 2
+        for error in batch.report.errors:
+            assert "Traceback" in error.traceback
+            assert "ParameterError" in error.traceback

@@ -420,22 +420,13 @@ class TestVectorProcsHybrid:
             assert h.value.failure_cdf == v.value.failure_cdf
             assert h.value.time_bounded_cost == v.value.time_bounded_cost
 
-    def test_explicit_chunk_size_still_identical(self):
-        requests = _surv_requests()
-        vector = VectorBackend().run(evaluate_survivability_request, requests)
-        hybrid = VectorBackend(chunk_workers=2, chunk_size=1).run(
-            evaluate_survivability_request, requests
-        )
-        for h, v in zip(hybrid, vector):
-            assert h.value.survival == v.value.survival
-
     def test_error_capture_across_pool(self):
         requests = _surv_requests(3) + [
             SurvivabilityRequest(
                 params=GCSParameters.small_test(), times_s=(1.0,), eps=-1.0
             )
         ]
-        hybrid = VectorBackend(chunk_workers=2, chunk_size=2).run(
+        hybrid = VectorBackend(chunk_workers=2).run(
             evaluate_survivability_request, requests
         )
         assert [o.ok for o in hybrid] == [True, True, True, False]
