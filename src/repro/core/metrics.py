@@ -15,8 +15,9 @@ points share the lattice topology and differ only in rates, so the
 batch path reuses one cached :class:`~repro.core.fastpath.LatticeStructure`
 per group size and runs a single multi-point level-scheduled backward
 sweep (:func:`repro.ctmc.acyclic.solve_dag_batch`) over stacked
-``(P, nnz)`` rate arrays — bit-identical per-point results, one shared
-pass instead of ``P`` rebuilds. The batched solvers run in the
+``(P, nnz)`` rate arrays into a state-major ``(n, P, k)`` solution —
+bit-identical per-point results, one shared pass instead of ``P``
+rebuilds. The batched solvers run in the
 structure's *solve space*, the states reachable from the initial
 marking; :func:`evaluate` keeps the full lattice and is their oracle.
 
@@ -508,9 +509,9 @@ def _chunk_size(structure, n_columns: int, max_batch_bytes: int) -> int:
     (``structure.dag``), not the full lattice.
     """
     dag = structure.dag
-    # vals + ELL gather (~nnz each), numerators and x (~n·k each), the
-    # k − 4 reward columns and the second-moment scratch (~n·k
-    # together); 8 bytes per float.
+    # values and the sweep's slot-major copy of them (~nnz each),
+    # numerators and x (~n·k each), the k − 4 reward columns and the
+    # second-moment scratch (~n·k together); 8 bytes per float.
     per_point = 8 * (2 * dag.nnz + dag.num_states * 3 * n_columns)
     return max(1, max_batch_bytes // max(per_point, 1))
 
@@ -524,7 +525,8 @@ def _solve_prepared(
     """Run the shared backward sweep for one chunk of prepared points.
 
     The sweep runs in the structure's solve space: numerator and
-    boundary rows exist only for ``structure.solve_states``.
+    boundary rows exist only for ``structure.solve_states``. ``x`` is
+    state-major ``(n, P, k)`` and ``m2`` is ``(n, P)``.
     """
     t0 = time.perf_counter()
     P = len(prepared)
@@ -533,11 +535,13 @@ def _solve_prepared(
     k = 1 + n_rewards + 3
 
     with span("solve.mean", points=P):
-        numer = np.zeros((P, n, k))
+        numer = np.zeros((n, P, k))
         numer[:, :, 0] = 1.0  # hitting-time numerator (ignored at absorbing)
-        for j, point in enumerate(prepared):
-            for c, column in enumerate(point.reward_columns, start=1):
-                numer[j, :, c] = column
+        # One (P, n_rewards, n) → (n, P, n_rewards) copy; a per-column
+        # loop would write each value to its own cache line.
+        numer[:, :, 1 : 1 + n_rewards] = np.array(
+            [point.reward_columns for point in prepared]
+        ).transpose(2, 0, 1)
 
         classes = structure.solve_classes()
         boundary = np.zeros((n, k))
@@ -703,8 +707,8 @@ def evaluate_batch_outcomes(
                             _package_point(
                                 structure,
                                 point,
-                                x[j],
-                                m2[j] if m2 is not None else None,
+                                x[:, j],
+                                m2[:, j] if m2 is not None else None,
                                 share,
                             ),
                             None,

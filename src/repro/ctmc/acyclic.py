@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import SolverError
 from ..obs import metrics, span
-from .chain import CTMC
+from .chain import CTMC, _validate_pattern, _validate_rates
 
 __all__ = [
     "DagStructure",
@@ -171,16 +171,17 @@ class BatchDagStructure:
       row) — the shape rate fills scatter into;
     * padded ELL in level order (``lvl_ell_slots``/``lvl_ell_cols``,
       one fixed-width row per state, real slots first in CSR order,
-      pads after) — the shape the backward sweep gathers from. The
-      rows are permuted into level order, so each level is the
+      pads after) — the plan the backward sweep gathers by. The rows
+      are permuted into level order, so level ``L``'s rows are the
       contiguous slice ``lvl_row_bounds[L]:lvl_row_bounds[L + 1]``,
-      and pad entries point at the sentinel slot ``nnz``, so one
-      gather from the zero-extended value array yields exact ``0.0``
-      pads. Keeping the real slots in CSR order makes the batched
-      per-row accumulation run in exactly the sequence scipy's CSR
-      matvec uses, which is what makes the batched solve
-      *bit-identical* to the per-point one (trailing ``+ 0.0`` pads
-      cannot perturb an IEEE sum of finite non-negative terms).
+      and pad entries point at the sentinel slot ``nnz``: the sweep
+      gathers each level's values from a slot-major value copy with a
+      zero row appended, so pads read exact ``0.0``. Keeping the real
+      slots in CSR order makes the batched per-row accumulation run in
+      exactly the sequence scipy's CSR matvec uses, which is what makes
+      the batched solve *bit-identical* to the per-point one (trailing
+      ``+ 0.0`` pads cannot perturb an IEEE sum of finite non-negative
+      terms).
 
     The level schedule is computed on the pattern alone. Any per-point
     pattern is a subset (rates may evaluate to zero), and removing
@@ -216,14 +217,12 @@ def batch_dag_structure(
 
     ``indptr``/``indices`` must be canonical CSR (columns ascending
     within each row, no duplicates). Raises
-    :class:`~repro.errors.SolverError` when the pattern has a cycle.
+    :class:`~repro.errors.SolverError` when the pattern is malformed
+    (inconsistent ``indptr``, column indices outside ``[0, n)``) or has
+    a cycle.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    n = indptr.size - 1
+    indptr, indices, n = _validate_pattern(indptr, indices)
     nnz = indices.size
-    if n < 1 or indptr[0] != 0 or indptr[-1] != nnz:
-        raise SolverError("malformed CSR pattern")
 
     deg = np.diff(indptr)
     width = int(deg.max()) if n else 0
@@ -345,89 +344,97 @@ def solve_dag_batch(
     shared:
         Output of :func:`batch_dag_structure` for the common pattern.
     values:
-        ``(P, nnz)`` transition rates, one row per grid point, aligned
-        with the pattern's CSR slots. Explicit zeros are allowed (they
-        contribute exact ``+0.0`` terms).
+        ``(P, nnz)`` finite, non-negative transition rates, one row per
+        grid point, aligned with the pattern's CSR slots. Explicit zeros
+        are allowed (they contribute exact ``+0.0`` terms).
     numerators:
-        ``(P, n, k)`` per-state numerators ``b``; ignored wherever a
+        ``(n, P, k)`` per-state numerators ``b``; ignored wherever a
         point's state is absorbing (zero out-rate *for that point*).
     boundary:
-        ``(n, k)`` (shared) or ``(P, n, k)`` prescribed values at
+        ``(n, k)`` (shared) or ``(n, P, k)`` prescribed values at
         absorbing states; ignored at transient states.
 
     Returns
     -------
-    ``(P, n, k)`` array ``x`` with, per point, ``x = boundary`` on that
-    point's absorbing states and ``x_s = (b_s + Σ_j R_sj x_j) / q_s``
-    on its transient states — bit-identical to running
-    :func:`solve_dag` per point on the per-point (zero-pruned) chain.
+    ``(n, P, k)`` array ``x`` with, per point ``p``, ``x[:, p] =
+    boundary`` on that point's absorbing states and ``x_s = (b_s +
+    Σ_j R_sj x_j) / q_s`` on its transient states — bit-identical to
+    running :func:`solve_dag` per point on the per-point (zero-pruned)
+    chain.
 
-    The sweep gathers every point's level-ordered ELL values once from
-    the zero-extended value array, then walks the levels as contiguous
-    slices. ``contrib`` accumulates strictly in CSR slot order starting
-    from the first term — the sequential order of scipy's CSR matvec in
+    The sweep is state-major: row ``x[s]`` holds every point's ``k``
+    columns contiguously, so gathering a successor's values for all
+    points is one ``P·k`` block. It makes one slot-major copy of the
+    rates with a zero sentinel row (pads read exact ``0.0``), and each
+    level gathers only its own ``(rows, width, P)`` values from it.
+    ``contrib`` accumulates strictly in CSR slot order starting from
+    the first term — the sequential order of scipy's CSR matvec in
     per-point :func:`solve_dag` (``0.0 + t₀ == t₀`` for the
     non-negative products of a rate fill). When every point's absorbing
     set is exactly the structural one (no explicit all-zero rows — the
     common case for real rate fills), the boundary is scattered once
     and the per-level absorbing re-masking is skipped, since levels
     ≥ 1 are then non-absorbing for every point.
+
+    Raises :class:`~repro.errors.SolverError` on shape mismatches and
+    :class:`~repro.errors.ParameterError` on NaN, infinite or negative
+    rates.
     """
-    values = np.asarray(values, dtype=float)
+    values = _validate_rates(values, shared.nnz)
     numerators = np.asarray(numerators, dtype=float)
     boundary = np.asarray(boundary, dtype=float)
-    if values.ndim != 2 or values.shape[1] != shared.nnz:
-        raise SolverError(
-            f"values must have shape (P, {shared.nnz}), got {values.shape}"
-        )
     P = values.shape[0]
     n = shared.num_states
-    if numerators.ndim != 3 or numerators.shape[:2] != (P, n):
+    if numerators.ndim != 3 or numerators.shape[:2] != (n, P):
         raise SolverError(
-            f"numerators must have shape ({P}, {n}, k), got {numerators.shape}"
+            f"numerators must have shape ({n}, {P}, k), got {numerators.shape}"
         )
     k = numerators.shape[2]
     if boundary.shape == (n, k):
-        boundary = np.broadcast_to(boundary, (P, n, k))
-    elif boundary.shape != (P, n, k):
+        boundary = np.broadcast_to(boundary[:, None, :], (n, P, k))
+    elif boundary.shape != (n, P, k):
         raise SolverError(
-            f"boundary must have shape ({n}, {k}) or ({P}, {n}, {k}), "
+            f"boundary must have shape ({n}, {k}) or ({n}, {P}, {k}), "
             f"got {boundary.shape}"
         )
     levels = len(shared.structure.level_states)
     with span("solve_dag_batch", points=P, states=n, levels=levels):
-        q = _row_sums(shared, values)
+        q = np.ascontiguousarray(_row_sums(shared, values).T)  # (n, P)
         absorbing = q == 0.0
         struct_abs = shared.structure.levels == 0
-        uniform = bool(np.array_equal(absorbing, np.broadcast_to(struct_abs, (P, n))))
+        uniform = bool(
+            np.array_equal(absorbing, np.broadcast_to(struct_abs[:, None], (n, P)))
+        )
         if uniform:
-            x = np.zeros((P, n, k))
+            x = np.zeros((n, P, k))
             idx = np.flatnonzero(struct_abs)
-            x[:, idx, :] = boundary[:, idx, :]
+            x[idx] = boundary[idx]
             safe_q = q  # levels >= 1 are non-absorbing for every point
         else:
             x = np.where(absorbing[:, :, None], boundary, 0.0)
             safe_q = np.where(absorbing, 1.0, q)
 
-        # One gather with a sentinel zero column yields exact 0.0 pads.
-        vals_ext = np.concatenate([values, np.zeros((P, 1))], axis=1)
-        ell_vals = vals_ext[:, shared.lvl_ell_slots]  # (P, n, width), level order
+        # Slot-major values; the sentinel row nnz holds the 0.0 pads.
+        vals_t = np.zeros((shared.nnz + 1, P))
+        vals_t[:-1] = values.T
 
         bounds = shared.lvl_row_bounds
         for L, rows in enumerate(shared.structure.level_states[1:], start=1):
             a, b = bounds[L], bounds[L + 1]
-            ev = ell_vals[:, a:b, :]
+            ev = vals_t[shared.lvl_ell_slots[a:b]][..., None]  # (rows, width, P, 1)
             cols = shared.lvl_ell_cols[a:b]
-            contrib = ev[:, :, 0, None] * x[:, cols[:, 0], :]
+            contrib = ev[:, 0] * x[cols[:, 0]]
             for j in range(1, shared.width):
-                contrib += ev[:, :, j, None] * x[:, cols[:, j], :]
-            solved = (numerators[:, rows, :] + contrib) / safe_q[:, rows, None]
+                term = x[cols[:, j]]
+                term *= ev[:, j]
+                contrib += term
+            # In place: IEEE + and × commute, so this is (b + Σ) / q.
+            contrib += numerators[rows]
+            contrib /= safe_q[rows, :, None]
             if uniform:
-                x[:, rows, :] = solved
+                x[rows] = contrib
             else:
-                x[:, rows, :] = np.where(
-                    absorbing[:, rows, None], x[:, rows, :], solved
-                )
+                x[rows] = np.where(absorbing[rows, :, None], x[rows], contrib)
     registry = metrics()
     registry.counter("solver.dag_batch_solves").add()
     registry.counter("solver.dag_points_solved").add(P)

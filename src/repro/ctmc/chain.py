@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import ModelError, ParameterError
+from ..errors import ModelError, ParameterError, SolverError
 
 __all__ = ["CTMC"]
 
@@ -268,3 +268,39 @@ class CTMC:
             f"CTMC(n={self.num_states}, transitions={self.num_transitions}, "
             f"absorbing={int(self.absorbing_mask.sum())})"
         )
+
+
+# ---------------------------------------------------------------------------
+# Shared-pattern input checks of the batched solvers
+# ---------------------------------------------------------------------------
+
+def _validate_pattern(
+    indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coerce a shared CSR pattern to ``int64`` and return ``(indptr, indices, n)``.
+
+    Raises :class:`~repro.errors.SolverError` for an empty or
+    inconsistent ``indptr`` and for column indices outside ``[0, n)``.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    n = indptr.size - 1
+    if n < 1 or indptr[0] != 0 or indptr[-1] != indices.size:
+        raise SolverError("malformed CSR pattern")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise SolverError("CSR column indices out of range")
+    return indptr, indices, n
+
+
+def _validate_rates(values: np.ndarray, nnz: int) -> np.ndarray:
+    """Coerce stacked ``(P, nnz)`` rate fills to float and check them.
+
+    A shape mismatch is a :class:`~repro.errors.SolverError`; NaN,
+    infinite or negative rates are a :class:`~repro.errors.ParameterError`.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != nnz:
+        raise SolverError(f"values must have shape (P, {nnz}), got {values.shape}")
+    if values.size and (not np.all(np.isfinite(values)) or values.min() < 0.0):
+        raise ParameterError("transition rates must be finite and non-negative")
+    return values

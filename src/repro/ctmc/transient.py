@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ParameterError, SolverError
 from ..obs import metrics, span
-from .chain import CTMC
+from .chain import CTMC, _validate_pattern, _validate_rates
 from .poisson import poisson_weights
 
 __all__ = [
@@ -97,19 +97,6 @@ def absorption_cdf(
 # ---------------------------------------------------------------------------
 # Structure-sharing batched uniformization
 # ---------------------------------------------------------------------------
-
-def _validate_pattern(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    n = indptr.size - 1
-    if n < 1 or indptr[0] != 0 or indptr[-1] != indices.size:
-        raise SolverError("malformed CSR pattern")
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise SolverError("CSR column indices out of range")
-    return indptr, indices, n
-
 
 def _stacked_jump_matrix(
     indptr: np.ndarray,
@@ -260,13 +247,7 @@ def transient_distribution_batch(
     contiguous.
     """
     indptr, indices, n = _validate_pattern(indptr, indices)
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != indices.size:
-        raise SolverError(
-            f"values must have shape (P, {indices.size}), got {values.shape}"
-        )
-    if values.size and (not np.all(np.isfinite(values)) or values.min() < 0.0):
-        raise ParameterError("transition rates must be finite and non-negative")
+    values = _validate_rates(values, indices.size)
     num_points = values.shape[0]
 
     scalar = np.isscalar(times)

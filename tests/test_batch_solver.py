@@ -28,6 +28,7 @@ from repro.core.fastpath import (
     lattice_structure,
 )
 from repro.core.metrics import (
+    DEFAULT_BATCH_BYTES,
     evaluate,
     evaluate_batch,
     evaluate_batch_outcomes,
@@ -59,7 +60,11 @@ N_TEST = 16  # full paper grids at a lattice size that solves in ms
 
 
 def _fig2_scenarios() -> list[GCSParameters]:
-    base = GCSParameters.paper_defaults(num_nodes=N_TEST)
+    return _fig2_scenarios_at(N_TEST)
+
+
+def _fig2_scenarios_at(num_nodes: int) -> list[GCSParameters]:
+    base = GCSParameters.paper_defaults(num_nodes=num_nodes)
     return [
         base.replacing(num_voters=m, detection_interval_s=float(tids))
         for m in C.PAPER_M_VALUES
@@ -112,7 +117,7 @@ class TestSolveDagBatch:
 
         scales = rng.uniform(0.5, 2.0, size=P)
         values = np.stack([R.data * s for s in scales])
-        numer = rng.uniform(0.0, 1.0, size=(P, n, k))
+        numer = rng.uniform(0.0, 1.0, size=(n, P, k))
         boundary = np.zeros((n, k))
         boundary[chain.absorbing_states, 0] = 1.0
 
@@ -127,8 +132,8 @@ class TestSolveDagBatch:
                 )
             )
             structure_p = topological_levels(chain_p)
-            x_p = solve_dag(chain_p, structure_p, numer[p], boundary)
-            assert np.array_equal(x[p], x_p), f"point {p} diverged"
+            x_p = solve_dag(chain_p, structure_p, numer[:, p], boundary)
+            assert np.array_equal(x[:, p], x_p), f"point {p} diverged"
 
     def test_explicit_zeros_match_pruned_chain(self):
         rng = np.random.default_rng(11)
@@ -139,10 +144,10 @@ class TestSolveDagBatch:
 
         values = R.data.copy()
         values[rng.random(values.size) < 0.3] = 0.0  # rate-disabled edges
-        numer = np.ones((1, n, 1))
+        numer = np.ones((n, 1, 1))
         boundary = np.zeros((n, 1))
 
-        x = solve_dag_batch(shared, values[None, :], numer, boundary)[0]
+        x = solve_dag_batch(shared, values[None, :], numer, boundary)[:, 0]
         import scipy.sparse as sp
 
         pruned = CTMC(
@@ -151,7 +156,7 @@ class TestSolveDagBatch:
             )
         )  # CTMC prunes the explicit zeros
         x_p = solve_dag(
-            pruned, topological_levels(pruned), numer[0], boundary
+            pruned, topological_levels(pruned), numer[:, 0], boundary
         )
         assert np.array_equal(x[:, 0], x_p[:, 0])
 
@@ -201,11 +206,27 @@ class TestSolveDagBatch:
         shared = batch_dag_structure(R.indptr, R.indices)
         good_vals = R.data[None, :]
         with pytest.raises(SolverError, match="values"):
-            solve_dag_batch(shared, R.data[None, :-1], np.ones((1, 10, 1)), np.zeros((10, 1)))
+            solve_dag_batch(shared, R.data[None, :-1], np.ones((10, 1, 1)), np.zeros((10, 1)))
         with pytest.raises(SolverError, match="numerators"):
-            solve_dag_batch(shared, good_vals, np.ones((1, 9, 1)), np.zeros((10, 1)))
+            solve_dag_batch(shared, good_vals, np.ones((9, 1, 1)), np.zeros((10, 1)))
         with pytest.raises(SolverError, match="boundary"):
-            solve_dag_batch(shared, good_vals, np.ones((1, 10, 1)), np.zeros((9, 1)))
+            solve_dag_batch(shared, good_vals, np.ones((10, 1, 1)), np.zeros((9, 1)))
+
+    @pytest.mark.parametrize("column", [5, -1])
+    def test_out_of_range_column_rejected(self, column):
+        # Three states; state 1's only edge points outside [0, 3).
+        with pytest.raises(SolverError, match="out of range"):
+            batch_dag_structure(np.array([0, 1, 2, 2]), np.array([2, column]))
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+    def test_invalid_rates_rejected(self, rate):
+        chain = _random_dag_chain(np.random.default_rng(3), n=10)
+        R = chain.rates
+        shared = batch_dag_structure(R.indptr, R.indices)
+        values = np.stack([R.data, R.data])
+        values[1, 0] = rate
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            solve_dag_batch(shared, values, np.ones((10, 2, 1)), np.zeros((10, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +271,13 @@ class TestFusedGatherKernel:
         scenarios = _fig2_scenarios() if grid == "fig2" else _fig4_scenarios()
         structure, values = self._lattice_fills(scenarios)
         n = structure.solve_states.size
-        numer = np.ones((len(scenarios), n, 1))
+        numer = np.ones((n, len(scenarios), 1))
         boundary = np.zeros((n, 1))
         boundary[structure.solve_classes()["c1_data_leak"], 0] = 1.0
         x = solve_dag_batch(structure.dag, values, numer, boundary)
         for p in range(len(scenarios)):
-            x_p = _per_point_solve(structure.dag, values[p], numer[p], boundary)
-            assert np.array_equal(x[p], x_p), f"{grid} point {p} diverged"
+            x_p = _per_point_solve(structure.dag, values[p], numer[:, p], boundary)
+            assert np.array_equal(x[:, p], x_p), f"{grid} point {p} diverged"
 
     def test_sweep_matches_per_point_solve_dag(self):
         rng = np.random.default_rng(23)
@@ -266,14 +287,14 @@ class TestFusedGatherKernel:
         n, k, P = chain.num_states, 2, 4
         values = np.stack([R.data * s for s in rng.uniform(0.5, 2.0, size=P)])
         values[0, rng.random(values.shape[1]) < 0.2] = 0.0  # zero-pruned point
-        numer = rng.uniform(0.0, 1.0, size=(P, n, k))
+        numer = rng.uniform(0.0, 1.0, size=(n, P, k))
         boundary = np.zeros((n, k))
         boundary[chain.absorbing_states, 0] = 1.0
 
         x = solve_dag_batch(shared, values, numer, boundary)
         for p in range(P):
-            x_p = _per_point_solve(shared, values[p], numer[p], boundary)
-            assert np.array_equal(x[p], x_p), f"point {p} diverged"
+            x_p = _per_point_solve(shared, values[p], numer[:, p], boundary)
+            assert np.array_equal(x[:, p], x_p), f"point {p} diverged"
 
     @pytest.mark.parametrize("variance", [False, True])
     @pytest.mark.parametrize("grid", ["fig2", "fig4"])
@@ -287,15 +308,15 @@ class TestFusedGatherKernel:
         solve = structure.solve_states
         P, n = len(scenarios), structure.num_states
         rng = np.random.default_rng(31)
-        numer = np.ones((P, n, 5))
-        numer[:, :, 1] = rng.uniform(0.0, 1e6, size=(P, n))
+        numer = np.ones((n, P, 5))
+        numer[:, :, 1] = rng.uniform(0.0, 1e6, size=(n, P))
         boundary = np.zeros((n, 5))
         boundary[structure.c1_state, 2] = 1.0
         boundary[structure.c2_states, 3] = 1.0
         boundary[structure.depletion_states, 4] = 1.0
         x_full = solve_dag_batch(full, values, numer, boundary)
-        x = solve_dag_batch(structure.dag, values, numer[:, solve], boundary[solve])
-        assert x.tobytes() == x_full[:, solve].tobytes()
+        x = solve_dag_batch(structure.dag, values, numer[solve], boundary[solve])
+        assert x.tobytes() == x_full[solve].tobytes()
         if variance:
             m2_full = solve_dag_batch(
                 full, values, 2.0 * x_full[:, :, :1], np.zeros((n, 1))
@@ -303,7 +324,30 @@ class TestFusedGatherKernel:
             m2 = solve_dag_batch(
                 structure.dag, values, 2.0 * x[:, :, :1], np.zeros((solve.size, 1))
             )
-            assert m2.tobytes() == m2_full[:, solve].tobytes()
+            assert m2.tobytes() == m2_full[solve].tobytes()
+
+    def test_sweep_working_set(self):
+        # The sweep holds one slot-major copy of the rates and gathers
+        # values level by level. Allocated inside one call: vals_t and
+        # x (8·P·(nnz + n·k) bytes) plus per-level scratch. A
+        # whole-batch (P, n, width) ELL copy would add ~0.5× more.
+        import tracemalloc
+
+        scenarios = _fig2_scenarios_at(40)[:8]
+        structure, values = self._lattice_fills(scenarios)
+        dag = structure.dag
+        P, n, k = len(scenarios), dag.num_states, 5
+        numer = np.ones((n, P, k))
+        boundary = np.zeros((n, k))
+        boundary[structure.solve_classes()["c1_data_leak"], 1] = 1.0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve_dag_batch(dag, values, numer, boundary)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * 8 * P * (dag.nnz + n * k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,12 +370,12 @@ def test_property_batch_sweep_matches_per_point_solve_dag(seed):
     P, k = 3, 2
     values = np.stack([R.data * s for s in rng.uniform(0.5, 2.0, size=P)])
     values[rng.random(values.shape) < 0.2] = 0.0
-    numer = rng.uniform(0.0, 1.0, size=(P, n, k))
-    boundary = rng.uniform(0.0, 1.0, size=(P, n, k))
+    numer = rng.uniform(0.0, 1.0, size=(n, P, k))
+    boundary = rng.uniform(0.0, 1.0, size=(n, P, k))
     x = solve_dag_batch(shared, values, numer, boundary)
     for p in range(P):
-        x_p = _per_point_solve(shared, values[p], numer[p], boundary[p])
-        assert np.array_equal(x[p], x_p), f"point {p} diverged"
+        x_p = _per_point_solve(shared, values[p], numer[:, p], boundary[:, p])
+        assert np.array_equal(x[:, p], x_p), f"point {p} diverged"
 
 
 def test_host_probes_for_the_benchmark():
@@ -355,9 +399,16 @@ class TestEvaluateBatchBitIdentical:
         for scenario, result in zip(scenarios, batch):
             _assert_identical(result, evaluate(scenario))
 
-    def test_fig4_grid_with_variance(self):
+    @pytest.mark.parametrize(
+        "max_batch_bytes", [DEFAULT_BATCH_BYTES, 1], ids=["default", "1"]
+    )
+    def test_fig4_grid_with_variance(self, max_batch_bytes):
+        # A 1-byte budget solves every point in its own chunk: how the
+        # grid is split must not change a bit of any result.
         scenarios = _fig4_scenarios()
-        batch = evaluate_batch(scenarios, include_variance=True)
+        batch = evaluate_batch(
+            scenarios, include_variance=True, max_batch_bytes=max_batch_bytes
+        )
         for scenario, result in zip(scenarios, batch):
             _assert_identical(
                 result, evaluate(scenario, include_variance=True), variance=True

@@ -144,17 +144,17 @@ class TestSolveDagBatchPermutationInvariance:
         n = chain.num_states
         values = _stacked_values(chain, seed, num_points)
         rng = np.random.default_rng(seed + 2)
-        numer = rng.uniform(0.0, 1.0, size=(num_points, n, num_cols))
+        numer = rng.uniform(0.0, 1.0, size=(n, num_points, num_cols))
         boundary = np.zeros((n, num_cols))
         boundary[chain.absorbing_states, 0] = 1.0
 
         x = solve_dag_batch(shared, values, numer, boundary)
         perm = rng.permutation(num_points)
-        x_perm = solve_dag_batch(shared, values[perm], numer[perm], boundary)
+        x_perm = solve_dag_batch(shared, values[perm], numer[:, perm], boundary)
         # Bit-identical, not merely close: per-point arithmetic never
         # mixes points, which is exactly what makes the vector+procs
         # chunk fan-out byte-identical to sequential solving.
-        assert np.array_equal(x_perm, x[perm])
+        assert np.array_equal(x_perm, x[:, perm])
 
 
 class TestVotingProbabilitiesInUnitInterval:
