@@ -52,10 +52,13 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
+from ..costs.aggregate import GCSCostModel
 from ..ctmc.acyclic import BatchDagStructure, batch_dag_structure
 from ..ctmc.chain import CTMC
 from ..detection.functions import vector_shape_factor
@@ -64,11 +67,6 @@ from ..manet.network import NetworkModel
 from ..obs import metrics, span
 from ..params import GCSParameters
 from .rates import GCSRates
-
-# Annotation only: importing the cost model while this module loads
-# moves scipy's first import and slows `import repro.cli` by ~0.1 s.
-if TYPE_CHECKING:  # pragma: no cover
-    from ..costs.aggregate import GCSCostModel
 
 log = logging.getLogger(__name__)
 
@@ -301,11 +299,6 @@ def _build_structure(n: int) -> LatticeStructure:
     rate_gather = np.concatenate(edge_source)[order]
 
     # ---- solve space: the states reachable from the initial marking ---
-    # Imported here: a module-level csgraph import would move scipy's
-    # first import into `import repro.cli`.
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import breadth_first_order
-
     initial_state = int(state_id[n, 0, 0])
     pattern = sp.csr_matrix(
         (np.ones(indices.size), indices, indptr), shape=(num_states, num_states)
@@ -450,10 +443,11 @@ def fill_transition_rates(
         / det.base_interval_s
     )
 
-    # Voting probabilities at per-group counts (matching GCSRates). The
-    # table spans 2n so the boundary max(·, 1) adjustments below never
-    # leave its simplex (g + b <= 2n always holds for g, b <= n).
-    pfp_table, pfn_table = rates.voting.table(2 * n)
+    # Voting probabilities at per-group counts (matching GCSRates). Every
+    # index below, max(·, 1) adjustments included, lies in 0..n, so
+    # table(n) holds every cell read, and it is the memo entry the cost
+    # model fills for the same (m, p1, p2).
+    pfp_table, pfn_table = rates.voting.table(n)
     tg = np.clip(np.rint(t * scale).astype(np.int64), 0, n)
     ug = np.clip(np.rint(u * scale).astype(np.int64), 0, n)
     tg_fa = np.maximum(tg, 1)
@@ -533,8 +527,6 @@ def build_lattice_chain(
     )
     structure = lattice_structure(params.num_nodes)
     fill = fill_transition_rates(structure, rates)
-
-    import scipy.sparse as sp
 
     R = sp.csr_matrix(
         (fill.values, structure.indices.copy(), structure.indptr.copy()),

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import ParameterError, SolverError
 from ..obs import metrics, span
@@ -121,8 +122,6 @@ def _stacked_jump_matrix(
     ``[values/Λ_p, 1 − q/Λ_p]`` concatenation. The stacked index arrays
     are the block's, offset per point.
     """
-    import scipy.sparse as sp
-
     num_points, n = q.shape
     deg = np.diff(indptr)
     slot_rows = np.repeat(np.arange(n, dtype=np.int64), deg)

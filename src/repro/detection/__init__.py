@@ -9,10 +9,14 @@
 * :mod:`repro.detection.adaptive` — the adaptive controller that matches
   the detection function to the attacker strength observed at runtime
   (the paper's closing recommendation).
+
+:mod:`repro.detection.audit` (the audit-feature detectors that derive
+``(p1, p2)``) is imported on its own, as ``from repro.detection.audit
+import AnomalyDetector``: it needs ``scipy.stats``, which nothing on
+the model path uses, and this package is loaded by every model solve.
 """
 
 from .adaptive import AdaptiveIDSController, recommend_detection_function
-from .audit import AnomalyDetector, AuditFeatureModel, MisuseDetector
 from .functions import DetectionFunction, detection_ratio, vector_shape_factor
 from .hostids import HostIDS
 
@@ -21,9 +25,6 @@ __all__ = [
     "detection_ratio",
     "vector_shape_factor",
     "HostIDS",
-    "AuditFeatureModel",
-    "AnomalyDetector",
-    "MisuseDetector",
     "AdaptiveIDSController",
     "recommend_detection_function",
 ]

@@ -35,6 +35,7 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from ..errors import ParameterError
 from ..validation import require_non_negative_int, require_odd, require_probability
@@ -192,8 +193,6 @@ class VotingErrorModel:
         bad_votes_against: bool,
     ) -> np.ndarray:
         """Vectorised counterpart of :meth:`_cached` over count grids."""
-        from scipy.special import gammaln
-
         m = self.num_voters
         pool = pool_good + pool_bad
         m_eff = np.minimum(m, pool)

@@ -43,6 +43,7 @@ from repro.ctmc.birth_death import BirthDeathProcess
 from repro.ctmc.transient import BATCH_EQUIVALENCE_RTOL, absorption_cdf
 from repro.detection.functions import vector_shape_factor
 from repro.params import GCSParameters
+from repro.voting.majority import _table_cached, clear_table_cache
 from test_transient_batch import _assert_curves_equal
 
 FORMS = ("logarithmic", "linear", "polynomial")
@@ -170,6 +171,14 @@ def test_collapsed_fill_is_byte_identical(params):
     collapsed = fill_transition_rates(structure, rates).values
     assert collapsed.dtype == np.float64
     assert collapsed.tobytes() == _full_lattice_fill(structure, rates).tobytes()
+
+
+def test_fill_shares_the_cost_models_voting_tables():
+    # The fill reads table(N), the memo entry the cost model fills for
+    # the same (m, p1, p2): one table pair per voting model, not two.
+    clear_table_cache()
+    evaluate_batch([GCSParameters.small_test(num_voters=m) for m in (3, 5)])
+    assert _table_cached.cache_info().currsize == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -166,6 +166,22 @@ class TestStructuralProperties:
 
 @settings(max_examples=40, deadline=None)
 @given(
+    m=st.sampled_from([1, 3, 5, 7, 9]),
+    p1=st.floats(min_value=0.0, max_value=1.0),
+    p2=st.floats(min_value=0.0, max_value=1.0),
+    n=st.integers(1, 40),
+)
+def test_property_table_is_the_corner_of_a_larger_table(m, p1, p2, n):
+    # Every cell depends on its own (g, b) alone, so table(N), which the
+    # rate fill reads, is the top-left corner of table(2N) byte for byte.
+    model = VotingErrorModel(m, p1, p2)
+    for small, large in zip(model.table(n), model.table(2 * n)):
+        assert small.shape == (n + 1, n + 1)
+        assert small.tobytes() == large[: n + 1, : n + 1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
     m=st.sampled_from([1, 3, 5, 7]),
     good=st.integers(1, 30),
     bad=st.integers(0, 30),
