@@ -34,32 +34,26 @@ compromised nodes:
   (``service.chunks_local_fallback``), so ``--jobs remote`` is never
   worse than the single-host service tier.
 
-Scheduling is *adaptive* (the load-imbalance problem the paper's own
-performance analysis is about — heterogeneous nodes must not let one
-straggler pin the job tail):
+Scheduling keeps one straggler from pinning the job tail (the
+load-imbalance problem the paper's own performance analysis is about):
 
 * **Per-lease chunk sizing** — chunks are carved from the job's
-  remaining points *at lease time*, sized to the live worker count
-  right now (never frozen at distribution time, so a job submitted to
-  an empty pool still spreads over late-joining workers) and weighted
-  by the leasing worker's measured throughput — an EWMA of points/sec
-  from its chunk reports (``ChunkReport.elapsed_s``), seeded by the
-  backend capability it advertised at registration (``vector`` workers
-  start with proportionally larger chunks than ``serial`` ones).
-* **Work stealing** — an idle worker with nothing pending splits the
-  tail half off the largest straggler's leased chunk and evaluates it
-  concurrently (``service.chunks_stolen``); whichever copy of a point
-  reports first wins.
-* **Tail speculation** — near the job tail (nothing left to carve or
-  steal) an idle worker duplicate-leases an in-flight chunk outright
+  remaining points *at lease time*, each an equal share of the live
+  pool right now: ``ceil(remaining / (CHUNKS_PER_WORKER · live))``.
+  Sizes never freeze at distribution time, so a job submitted to an
+  empty pool still spreads over late-joining workers, and a fast
+  worker evaluates more of the job because it comes back to lease
+  sooner.
+* **Tail speculation** — once nothing is left to carve or requeue, an
+  idle worker duplicate-leases the longest-held in-flight chunk
   (``service.leases_speculated``); the first complete report resolves
   it and the loser is dropped by the exactly-once dedup.
 
-Results are **exactly-once per point**: the first report carrying a
-point resolves it; later copies — from slow workers, stolen tails, or
-speculative duplicates — are skipped, and a whole-chunk duplicate is
-counted (``service.duplicate_results``) and dropped.  Byte-identity
-with ``--jobs serial`` holds because every copy of a point evaluates
+Results are **exactly-once per point**: chunks never overlap, the
+first report of a chunk resolves it, and a later copy — from a slow
+worker or a speculative duplicate — is counted
+(``service.duplicate_results``) and dropped.  Byte-identity with
+``--jobs serial`` holds because every copy of a point evaluates
 through the same :func:`repro.engine.executor.run_chunk` protocol on
 the same deterministic solver, so it does not matter which copy wins.
 """
@@ -103,6 +97,14 @@ log = logging.getLogger(__name__)
 #: Holder key used for leases taken by the server's own fallback loop.
 _LOCAL_HOLDER = "<local>"
 
+#: Auto chunk sizing carves about this many chunks per live worker
+#: (load balancing vs. per-chunk HTTP overhead).
+CHUNKS_PER_WORKER = 4
+
+#: Concurrent leases one chunk may hold: the original plus one
+#: speculative duplicate.
+MAX_LEASES_PER_CHUNK = 2
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -129,35 +131,13 @@ class PoolConfig:
     max_attempts: int = 3
     #: Chunk failures before a worker is quarantined.
     quarantine_after: int = 3
-    #: Points per chunk; ``None`` sizes each lease adaptively —
-    #: ``remaining / (chunks_per_worker · live_workers)``, weighted by
-    #: the leasing worker's throughput relative to the pool mean.
+    #: Points per chunk; ``None`` sizes each lease as an equal share of
+    #: the live pool — ``ceil(remaining / (CHUNKS_PER_WORKER · live))``.
     chunk_size: Optional[int] = None
-    #: Target number of chunks carved per live worker when
-    #: ``chunk_size`` is auto (load balancing vs. per-chunk HTTP
-    #: overhead).
-    chunks_per_worker: int = 4
-    #: Allow idle workers to split the tail off a straggler's leased
-    #: chunk when nothing is pending.
-    steal: bool = True
-    #: Allow idle workers to duplicate-lease in-flight chunks near the
-    #: job tail (first complete report wins).
-    speculate: bool = True
-    #: A leased chunk must have been held at least this long before it
-    #: can be stolen from or speculatively duplicated (avoids
-    #: thrashing fresh leases).
+    #: A leased chunk must have been held at least this long before an
+    #: idle worker may speculatively duplicate it (avoids thrashing
+    #: fresh leases).
     tail_min_lease_age_s: float = 1.0
-    #: Smallest leased chunk stealing may split (the stolen tail is
-    #: half of it).
-    steal_min_points: int = 2
-    #: Maximum concurrent leases per chunk (original + speculative).
-    max_leases_per_chunk: int = 2
-    #: EWMA smoothing factor for per-worker throughput (points/sec):
-    #: ``ewma ← α·observed + (1−α)·ewma``.
-    throughput_alpha: float = 0.3
-    #: Capability prior for workers advertising a ``vector`` backend,
-    #: used to weight their chunk sizes until real throughput arrives.
-    vector_weight: float = 4.0
     #: How often the dispatching thread wakes to reap expired leases.
     reap_tick_s: float = 0.25
     #: Requeue backoff: ``backoff_base_s · 2^(failures-1)`` capped at
@@ -176,10 +156,7 @@ class PoolConfig:
             "lease_ttl_s": self.lease_ttl_s,
             "heartbeat_interval_s": self.heartbeat_interval_s,
             "chunk_size": self.chunk_size,
-            "chunks_per_worker": self.chunks_per_worker,
             "max_attempts": self.max_attempts,
-            "steal": self.steal,
-            "speculate": self.speculate,
         }
 
 
@@ -199,8 +176,10 @@ class WorkerInfo:
     chunks_completed: int = 0
     chunks_failed: int = 0
     points_completed: int = 0
-    #: EWMA of reported points/sec; ``None`` until the first timed report.
-    throughput_ewma: Optional[float] = None
+    #: Points and summed ``elapsed_s`` over the reports that carried a
+    #: timing; their ratio is the roster's throughput.
+    timed_points: int = 0
+    timed_s: float = 0.0
 
     def live(self, now: float, lost_after_s: float) -> bool:
         """True when this worker may be leased new work."""
@@ -228,8 +207,8 @@ class WorkerInfo:
             "chunks_failed": self.chunks_failed,
             "points_completed": self.points_completed,
             "throughput_points_per_s": (
-                round(self.throughput_ewma, 3)
-                if self.throughput_ewma is not None
+                round(self.timed_points / self.timed_s, 3)
+                if self.timed_s > 0.0
                 else None
             ),
         }
@@ -260,9 +239,9 @@ class _Lease:
 class _Chunk:
     """One unit of leasable work: a slice of a batch's cache misses.
 
-    A chunk may hold several concurrent leases (the original plus a
-    speculative duplicate); it resolves on the first complete report
-    and later copies are dropped.
+    A chunk may hold up to :data:`MAX_LEASES_PER_CHUNK` concurrent
+    leases (the original plus a speculative duplicate); it resolves on
+    the first complete report and later copies are dropped.
     """
 
     __slots__ = (
@@ -276,7 +255,6 @@ class _Chunk:
         "leases",
         "not_before",
         "failures",
-        "stolen",
     )
 
     def __init__(self, chunk_id, job_id, indices, items, run):
@@ -290,7 +268,6 @@ class _Chunk:
         self.leases: dict[str, _Lease] = {}
         self.not_before = 0.0
         self.failures: list[dict] = []
-        self.stolen = False
 
     def pairs(self) -> list[tuple[int, Any]]:
         """The ``(global_index, item)`` pairs :func:`run_chunk` expects."""
@@ -306,10 +283,11 @@ class _Chunk:
 class _RunState:
     """Book-keeping for one ``run_distributed`` call.
 
-    Points resolve individually (``outcomes``/``resolved``): chunks may
-    overlap after a steal-split or speculative duplicate, and the first
-    report carrying a point wins.  ``next_index`` is the carve cursor —
-    work is chunked lazily, one lease at a time, never pre-split.
+    Points resolve individually (``outcomes``/``resolved``), and the
+    first outcome for a point wins — the exactly-once guard behind
+    chunk-level dedup.  ``next_index`` is the carve cursor — work is
+    chunked lazily, one lease at a time, never pre-split, so chunks
+    never overlap.
     """
 
     __slots__ = (
@@ -322,7 +300,6 @@ class _RunState:
         "pending",
         "chunks",
         "next_index",
-        "next_seq",
     )
 
     def __init__(self, fn, items, job_id=""):
@@ -335,7 +312,6 @@ class _RunState:
         self.pending: deque[_Chunk] = deque()  # requeued chunks only
         self.chunks: list[_Chunk] = []
         self.next_index = 0
-        self.next_seq = 0
 
     @property
     def done(self) -> bool:
@@ -418,8 +394,8 @@ class WorkerPool:
         log.info("worker %s deregistered", worker_id)
 
     def lease(self, worker_id: str) -> LeaseResponse:
-        """Hand ``worker_id`` a chunk — carved, requeued, stolen, or
-        speculated, in that order of preference."""
+        """Hand ``worker_id`` a chunk — requeued, carved, or speculated,
+        in that order of preference."""
         now = time.monotonic()
         with self._cond:
             worker = self._require_worker(worker_id)
@@ -527,9 +503,9 @@ class WorkerPool:
                 return True
             worker.chunks_completed += 1
             worker.points_completed += len(accepted_outcomes)
-            self._observe_throughput_locked(
-                worker, len(accepted_outcomes), report.elapsed_s
-            )
+            if report.elapsed_s is not None and report.elapsed_s > 0.0:
+                worker.timed_points += len(accepted_outcomes)
+                worker.timed_s += report.elapsed_s
             self._resolve_locked(chunk, accepted_outcomes)
             metrics().counter("service.chunks_completed").add()
         absorb_telemetry(report.telemetry)
@@ -552,16 +528,14 @@ class WorkerPool:
         Outcomes are delivered to ``on_outcome`` in resolution order
         and returned in input order — the standard
         :class:`~repro.engine.executor.ExecutionBackend` contract.
-        Work is chunked lazily at lease time (per-worker adaptive
-        sizing); chunks no live worker picks up run on ``fallback`` in
-        this thread, so the call always terminates.
+        Work is chunked lazily at lease time (sized to the live pool);
+        chunks no live worker picks up run on ``fallback`` in this
+        thread, so the call always terminates.
         """
         if not items:
             return []
         run = _RunState(fn, items, job_id)
-        log.debug(
-            "distributing %d points (adaptive chunking)", len(run.items)
-        )
+        log.debug("distributing %d points", len(run.items))
         with self._cond:
             self._runs.append(run)
             self._cond.notify_all()
@@ -591,13 +565,8 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def live_worker_count(self) -> int:
         """Workers currently eligible for leases."""
-        now = time.monotonic()
         with self._lock:
-            return sum(
-                1
-                for w in self._workers.values()
-                if w.live(now, self.config.lost_after_s)
-            )
+            return self._live_count_locked(time.monotonic())
 
     def roster(self) -> dict:
         """The ``/health`` ``workers`` section."""
@@ -641,7 +610,7 @@ class WorkerPool:
                 if not deliver:
                     if run.done:
                         return
-                    if not self._live_workers_locked(now):
+                    if not self._live_count_locked(now):
                         local_chunk = self._local_chunk_locked(run, now)
                     if local_chunk is None:
                         self._cond.wait(timeout=self.config.reap_tick_s)
@@ -657,13 +626,12 @@ class WorkerPool:
         """Claim one chunk for the local fallback (pool empty/dead).
 
         Requeued chunks are taken backoff-and-all — with no live worker
-        there is nobody to wait for — then fresh work is carved with a
-        neutral (unweighted) size.
+        there is nobody to wait for — then fresh work is carved.
         """
         if run.pending:
             chunk = run.pending.popleft()
         elif run.next_index < len(run.items):
-            chunk = self._carve_locked(run, None, now)
+            chunk = self._carve_locked(run, now)
         else:
             return None
         chunk.state = "leased"
@@ -693,7 +661,7 @@ class WorkerPool:
     ) -> Optional[tuple[_Chunk, bool]]:
         """Pick the chunk for a lease request, in preference order:
         requeued work whose backoff elapsed, freshly carved work, a
-        stolen straggler tail, a speculative duplicate."""
+        speculative duplicate of the longest-held in-flight chunk."""
         for run in self._runs:
             for _ in range(len(run.pending)):
                 chunk = run.pending.popleft()
@@ -702,143 +670,49 @@ class WorkerPool:
                 run.pending.append(chunk)
         for run in self._runs:
             if run.next_index < len(run.items):
-                return self._carve_locked(run, worker, now), False
-        if self.config.steal:
-            victim = self._steal_victim_locked(worker, now)
-            if victim is not None:
-                return self._split_locked(victim), False
-        if self.config.speculate:
-            target = self._speculation_target_locked(worker, now)
-            if target is not None:
-                metrics().counter("service.leases_speculated").add()
-                log.debug(
-                    "chunk %s: speculative duplicate lease for worker %s",
-                    target.chunk_id, worker.worker_id,
-                )
-                return target, True
-        return None
+                return self._carve_locked(run, now), False
+        target = self._speculation_target_locked(worker, now)
+        if target is None:
+            return None
+        metrics().counter("service.leases_speculated").add()
+        log.debug(
+            "chunk %s: speculative duplicate lease for worker %s",
+            target.chunk_id, worker.worker_id,
+        )
+        return target, True
 
-    def _carve_locked(
-        self, run: _RunState, worker: Optional[WorkerInfo], now: float
-    ) -> _Chunk:
-        """Cut the next chunk off the run's carve cursor, sized for
-        ``worker`` right now (``None`` = the local fallback)."""
+    def _carve_locked(self, run: _RunState, now: float) -> _Chunk:
+        """Cut the next chunk off the run's carve cursor, sized for the
+        live pool right now."""
         remaining = len(run.items) - run.next_index
-        size = self._lease_size_locked(worker, remaining, now)
+        size = self._lease_size_locked(remaining, now)
         indices = range(run.next_index, run.next_index + size)
         items = run.items[run.next_index : run.next_index + size]
         run.next_index += size
         chunk = _Chunk(
-            chunk_id=_chunk_id_for(run.next_seq, items),
+            chunk_id=_chunk_id_for(len(run.chunks), items),
             job_id=run.job_id,
             indices=indices,
             items=items,
             run=run,
         )
-        run.next_seq += 1
         run.chunks.append(chunk)
         self._chunks[chunk.chunk_id] = chunk
         return chunk
 
-    def _lease_size_locked(
-        self, worker: Optional[WorkerInfo], remaining: int, now: float
-    ) -> int:
-        """Points for the next lease: live-count base × throughput share."""
+    def _lease_size_locked(self, remaining: int, now: float) -> int:
+        """Points for the next lease: an equal share of the live pool."""
         if self.config.chunk_size is not None:
             return min(remaining, max(1, self.config.chunk_size))
-        live = [
-            w
-            for w in self._workers.values()
-            if w.live(now, self.config.lost_after_s)
-        ]
-        denom = max(1, len(live)) * max(1, self.config.chunks_per_worker)
-        base = remaining / denom
-        share = 1.0
-        if worker is not None and live:
-            weights = [self._worker_weight(w) for w in live]
-            mean = sum(weights) / len(weights)
-            if mean > 0:
-                share = self._worker_weight(worker) / mean
-        return max(1, min(remaining, math.ceil(base * min(share, 8.0))))
-
-    def _worker_weight(self, worker: WorkerInfo) -> float:
-        """Relative chunk-size weight: measured EWMA, else capability prior."""
-        if worker.throughput_ewma is not None and worker.throughput_ewma > 0:
-            return worker.throughput_ewma
-        if worker.backend.startswith("vector"):
-            return self.config.vector_weight
-        return 1.0
-
-    def _observe_throughput_locked(
-        self, worker: WorkerInfo, points: int, elapsed_s: Optional[float]
-    ) -> None:
-        if elapsed_s is None or elapsed_s <= 0.0 or points <= 0:
-            return
-        observed = points / elapsed_s
-        alpha = self.config.throughput_alpha
-        if worker.throughput_ewma is None:
-            worker.throughput_ewma = observed
-        else:
-            worker.throughput_ewma = (
-                alpha * observed + (1.0 - alpha) * worker.throughput_ewma
-            )
-
-    def _steal_victim_locked(
-        self, worker: WorkerInfo, now: float
-    ) -> Optional[_Chunk]:
-        """The leased chunk whose tail ``worker`` should steal, if any."""
-        best: Optional[_Chunk] = None
-        min_points = max(2, self.config.steal_min_points)
-        for run in self._runs:
-            for chunk in run.chunks:
-                if chunk.state != "leased" or chunk.stolen:
-                    continue
-                if len(chunk.items) < min_points:
-                    continue
-                if worker.worker_id in chunk.leases:
-                    continue
-                if chunk.oldest_lease_age(now) < self.config.tail_min_lease_age_s:
-                    continue
-                keep = len(chunk.items) - len(chunk.items) // 2
-                if all(
-                    run.outcomes[i] is not None for i in chunk.indices[keep:]
-                ):
-                    continue
-                if best is None or len(chunk.items) > len(best.items):
-                    best = chunk
-        return best
-
-    def _split_locked(self, victim: _Chunk) -> _Chunk:
-        """Steal-split: duplicate the tail half of ``victim`` as a new
-        chunk (the straggler keeps evaluating the whole thing; the
-        first report carrying each point wins)."""
-        run = victim.run
-        keep = len(victim.items) - len(victim.items) // 2
-        tail_items = victim.items[keep:]
-        child = _Chunk(
-            chunk_id=_chunk_id_for(run.next_seq, tail_items),
-            job_id=victim.job_id,
-            indices=victim.indices[keep:],
-            items=tail_items,
-            run=run,
-        )
-        run.next_seq += 1
-        victim.stolen = True
-        run.chunks.append(child)
-        self._chunks[child.chunk_id] = child
-        metrics().counter("service.chunks_stolen").add()
-        log.debug(
-            "chunk %s: stole %d-point tail as chunk %s",
-            victim.chunk_id, len(tail_items), child.chunk_id,
-        )
-        return child
+        live = max(1, self._live_count_locked(now))
+        return min(remaining, math.ceil(remaining / (CHUNKS_PER_WORKER * live)))
 
     def _speculation_target_locked(
         self, worker: WorkerInfo, now: float
     ) -> Optional[_Chunk]:
         """The in-flight chunk ``worker`` should duplicate, if any —
-        the longest-held lease with unresolved points and spare lease
-        capacity (the job-tail straggler)."""
+        the longest-held lease with spare lease capacity (the job-tail
+        straggler)."""
         best: Optional[_Chunk] = None
         best_age = -1.0
         for run in self._runs:
@@ -847,12 +721,10 @@ class WorkerPool:
                     continue
                 if worker.worker_id in chunk.leases:
                     continue
-                if len(chunk.leases) >= max(1, self.config.max_leases_per_chunk):
+                if len(chunk.leases) >= MAX_LEASES_PER_CHUNK:
                     continue
                 age = chunk.oldest_lease_age(now)
                 if age < self.config.tail_min_lease_age_s:
-                    continue
-                if all(run.outcomes[i] is not None for i in chunk.indices):
                     continue
                 if age > best_age:
                     best, best_age = chunk, age
@@ -889,10 +761,11 @@ class WorkerPool:
             )
         return worker
 
-    def _live_workers_locked(self, now: float) -> bool:
-        return any(
-            w.live(now, self.config.lost_after_s)
+    def _live_count_locked(self, now: float) -> int:
+        return sum(
+            1
             for w in self._workers.values()
+            if w.live(now, self.config.lost_after_s)
         )
 
     def _reap_locked(self, now: float) -> None:
@@ -1020,16 +893,24 @@ class WorkerPool:
         )
         jitter = random.Random(f"{chunk.chunk_id}:{len(chunk.failures)}")
         chunk.not_before = now + backoff * (0.75 + 0.5 * jitter.random())
-        chunk.state = "pending"
-        chunk.run.pending.append(chunk)
-        metrics().counter("service.chunks_reassigned").add()
+        if chunk.state != "pending":
+            # A late failure report on a requeued chunk only re-arms
+            # its backoff; queueing it twice would lease it twice.
+            chunk.state = "pending"
+            chunk.run.pending.append(chunk)
+            metrics().counter("service.chunks_reassigned").add()
         self._cond.notify_all()
 
     def _resolve_locked(
         self, chunk: _Chunk, outcomes: list[PointOutcome]
     ) -> None:
-        """First report per point wins; stolen/speculative losers skip."""
+        """Resolve ``chunk``; the first outcome per point wins (the
+        exactly-once guard)."""
         run = chunk.run
+        if chunk.state == "pending":
+            # A late report resolved a requeued chunk: dequeue it, or
+            # the next lease would evaluate it a second time.
+            run.pending.remove(chunk)
         for outcome in outcomes:
             if run.outcomes[outcome.index] is None:
                 run.outcomes[outcome.index] = outcome

@@ -618,8 +618,8 @@ class ChunkReport:
     registry, or ``failed`` — a chunk-level failure triple
     (``error``/``error_type``/``traceback``) when the worker could not
     evaluate the chunk at all.  ``elapsed_s`` is the worker's wall-clock
-    evaluation time for the chunk — the observation behind the server's
-    per-worker throughput EWMA that drives adaptive chunk sizing.
+    evaluation time for the chunk — the observation behind the roster's
+    per-worker ``throughput_points_per_s``.
     """
 
     chunk_id: str

@@ -187,8 +187,7 @@ class ServiceWorker:
             self.chaos.maybe_kill(self.chunks_completed)
             # The chaos slow-down sleeps inside the timed window (the
             # heartbeat sidecar keeps the lease alive), so a slowed
-            # worker *measures* as slow and the server's throughput
-            # EWMA shrinks its future chunks.
+            # worker *measures* as slow in the roster's throughput.
             started = time.perf_counter()
             self.chaos.chunk_sleep(self._stop)
             outcomes, telemetry = run_chunk(

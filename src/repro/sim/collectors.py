@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from ..errors import ParameterError
 
@@ -58,9 +59,7 @@ class ReplicationStats:
         30+ replications the validation benches run)."""
         if self.count < 2:
             return float("inf")
-        from scipy.stats import norm
-
-        z = norm.ppf(0.5 + self.confidence / 2.0)
+        z = ndtri(0.5 + self.confidence / 2.0)  # the normal quantile
         return float(z * self.std / math.sqrt(self.count))
 
     @property

@@ -7,7 +7,9 @@ interpreter:
 
 * setting up a CLI run or a sweep server leaves out the subpackages the
   lattice path never runs — ``scipy.stats`` (used only by the
-  audit-feature detectors) and, for the CLI, the sweep service;
+  audit-feature detectors) and, for the CLI, the sweep service — and a
+  simulation confidence interval after CLI set-up still needs no
+  ``scipy.stats``;
 * the first solve imports nothing more: every module the lattice path
   runs is loaded at import time, so the set-up time is the whole cold
   cost and none of it hides inside round one.
@@ -92,6 +94,19 @@ class TestSetupLoadsOnlyTheLatticePath:
         loaded = set(run_fresh(PRELUDE + CLI_SETUP + REPORT_LOADED))
         assert "repro.core.fastpath" in loaded  # the snippet did run
         assert not loaded & {"scipy.stats", "repro.detection.audit", "repro.service"}
+
+    def test_confidence_interval_after_cli_setup(self):
+        loaded = set(
+            run_fresh(
+                PRELUDE
+                + CLI_SETUP
+                + "from repro.sim import ReplicationStats\n"
+                + "ReplicationStats.from_samples([1.0, 2.0, 4.0]).half_width\n"
+                + REPORT_LOADED
+            )
+        )
+        assert "repro.sim.collectors" in loaded
+        assert "scipy.stats" not in loaded
 
     def test_service_setup(self, tmp_path):
         loaded = set(run_fresh(PRELUDE + SERVICE_SETUP + REPORT_LOADED, str(tmp_path)))

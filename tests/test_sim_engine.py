@@ -1,5 +1,7 @@
 """Event queue, entities, collectors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,15 @@ class TestReplicationStats:
         assert not s.contains(12.0)
         lo, hi = s.interval
         assert lo < s.mean < hi
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_half_width_is_the_normal_quantile(self, confidence):
+        from scipy.stats import norm
+
+        samples = np.random.default_rng(1).normal(10.0, 2.0, size=40)
+        s = ReplicationStats.from_samples(samples, confidence=confidence)
+        z = norm.ppf(0.5 + confidence / 2.0)
+        assert s.half_width == float(z * s.std / math.sqrt(s.count))
 
     def test_single_sample_infinite_ci(self):
         s = ReplicationStats.from_samples([5.0])

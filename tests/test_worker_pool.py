@@ -342,6 +342,77 @@ class TestWorkerPoolUnit:
         assert all(o.ok for o in driver.outcomes)
         assert _counter("service.duplicate_results") == 1
 
+    def test_late_report_of_requeued_chunk_is_not_leased_again(self):
+        """A report that lands after its lease expired resolves the
+        requeued chunk, which must then leave the pending queue — not
+        be leased and evaluated a second time."""
+        pool = WorkerPool(_fast_config(lease_ttl_s=0.2))
+        late = _register(pool, name="late")
+        steady = _register(pool, name="steady")
+        driver = _RunThread(pool, _requests(2))
+        driver.start()
+
+        late_chunk = _lease_blocking(pool, late.worker_id)
+        steady_chunk = _lease_blocking(pool, steady.worker_id)
+        # The late worker goes silent while the steady one heartbeats,
+        # so only the late worker's lease expires and requeues.
+        deadline = time.monotonic() + 15
+        while _counter("service.chunks_reassigned") < 1:
+            assert time.monotonic() < deadline, "the lease never expired"
+            pool.heartbeat(steady.worker_id, [steady_chunk.chunk_id])
+            time.sleep(0.05)
+        assert pool.report(late.worker_id, _evaluate_report(late_chunk))
+
+        # Well past the requeue backoff, the steady worker asks for more.
+        leased = []
+        for _ in range(10):
+            pool.heartbeat(steady.worker_id, [steady_chunk.chunk_id])
+            response = pool.lease(steady.worker_id)
+            if response.chunk is not None:
+                leased.append(response.chunk.chunk_id)
+            time.sleep(0.03)
+        assert late_chunk.chunk_id not in leased
+        assert pool.report(steady.worker_id, _evaluate_report(steady_chunk))
+        driver.join(timeout=30)
+        assert driver.error is None
+        assert all(o.ok for o in driver.outcomes)
+        assert _counter("service.chunks_completed") == 2
+
+    def test_late_failure_report_of_requeued_chunk_queues_it_once(self):
+        """A failure report that lands after its lease expired counts
+        toward the poison cap but must not queue the chunk twice."""
+        pool = WorkerPool(
+            _fast_config(lease_ttl_s=0.2, max_attempts=10, quarantine_after=100)
+        )
+        late = _register(pool, name="late")
+        steady = _register(pool, name="steady")
+        driver = _RunThread(pool, _requests(1))
+        driver.start()
+
+        chunk = _lease_blocking(pool, late.worker_id)
+        deadline = time.monotonic() + 15
+        while _counter("service.chunks_reassigned") < 1:
+            assert time.monotonic() < deadline, "the lease never expired"
+            pool.heartbeat(steady.worker_id)
+            time.sleep(0.05)
+        assert pool.report(
+            late.worker_id,
+            ChunkReport(chunk_id=chunk.chunk_id, failed=dict(_FAILURE)),
+        )
+
+        retry = _lease_blocking(pool, steady.worker_id)
+        assert retry.chunk_id == chunk.chunk_id
+        assert retry.attempt == 2
+        for _ in range(5):
+            pool.heartbeat(steady.worker_id, [retry.chunk_id])
+            assert pool.lease(steady.worker_id).chunk is None
+            time.sleep(0.03)
+        assert pool.report(steady.worker_id, _evaluate_report(retry))
+        driver.join(timeout=30)
+        assert driver.error is None
+        assert all(o.ok for o in driver.outcomes)
+        assert _counter("service.chunks_reassigned") == 1
+
     def test_deregister_requeues_held_leases(self):
         pool = WorkerPool(_fast_config())
         registered = _register(pool)
@@ -367,21 +438,16 @@ class TestWorkerPoolUnit:
 
 
 class TestAdaptiveScheduling:
-    """The ISSUE 9 scheduling layer: per-lease sizing, EWMA throughput,
-    work stealing, tail speculation, and the satellite correctness
-    fixes (empty-pool carving, lost-worker recovery, backoff hints)."""
+    """The scheduling layer: per-lease equal-share sizing, tail
+    speculation, and the correctness fixes that ride on it (empty-pool
+    carving, lost-worker recovery, backoff hints)."""
 
-    def test_lease_sizing_uses_capability_prior_then_throughput_ewma(self):
-        """A ``vector`` worker gets bigger chunks than a ``serial`` one
-        from its capability prior; once chunk timings arrive, measured
-        throughput (EWMA points/sec) takes over and is in the roster."""
+    def test_equal_share_sizing_and_ratio_throughput(self):
+        """Auto chunks are an equal share of the live pool whatever
+        backend a worker advertises, and the roster's throughput is
+        timed points over summed ``elapsed_s`` — no smoothing."""
         pool = WorkerPool(
-            _fast_config(
-                chunk_size=None,
-                chunks_per_worker=2,
-                steal=False,
-                speculate=False,
-            )
+            _fast_config(chunk_size=None, tail_min_lease_age_s=60.0)
         )
         vec = pool.register(
             WorkerRegistration(
@@ -396,43 +462,37 @@ class TestAdaptiveScheduling:
         driver = _RunThread(pool, _many_requests(12))
         driver.start()
         try:
-            # Capability prior (vector_weight=4 vs 1, mean 2.5):
-            # vec gets ceil(12/4 · 1.6) = 5 points, ser ceil(7/4 · 0.4) = 1.
+            # Two live workers, CHUNKS_PER_WORKER = 4: 12 points carve
+            # into ceil(12/8) = 2 and then ceil(10/8) = 2 points.
             vec_chunk = _lease_blocking(pool, vec.worker_id)
             ser_chunk = _lease_blocking(pool, ser.worker_id)
-            assert len(vec_chunk.requests) == 5
-            assert len(ser_chunk.requests) == 1
-            assert len(vec_chunk.requests) > len(ser_chunk.requests)
+            assert len(vec_chunk.requests) == 2
+            assert len(ser_chunk.requests) == 2
 
-            # Timed reports seed the EWMA (first observation verbatim).
             assert pool.report(
                 vec.worker_id, _evaluate_report(vec_chunk, elapsed_s=0.5)
             )
             assert pool.report(
                 ser.worker_id, _evaluate_report(ser_chunk, elapsed_s=2.0)
             )
-            by_name = {
-                e["name"]: e for e in pool.roster()["roster"]
-            }
-            assert by_name["vec"]["throughput_points_per_s"] == pytest.approx(
-                10.0
-            )
-            assert by_name["ser"]["throughput_points_per_s"] == pytest.approx(
-                0.5
-            )
-            assert by_name["vec"]["points_completed"] == 5
+            by_name = {e["name"]: e for e in pool.roster()["roster"]}
+            assert by_name["vec"]["throughput_points_per_s"] == 4.0
+            assert by_name["ser"]["throughput_points_per_s"] == 1.0
+            assert by_name["vec"]["points_completed"] == 2
 
-            # Measured throughput now drives sizing (10 vs 0.5 pps,
-            # mean 5.25): vec gets ceil(6/4 · 10/5.25) = 3 points.
+            # A second timed report makes it (2 + 1) points over
+            # (0.5 + 1.0) s; an untimed one adds points, not time.
             vec_chunk = _lease_blocking(pool, vec.worker_id)
-            assert len(vec_chunk.requests) == 3
-            # A second observation blends: 0.3·3 + 0.7·10 = 7.9.
+            assert len(vec_chunk.requests) == 1  # ceil(8/8)
             assert pool.report(
                 vec.worker_id, _evaluate_report(vec_chunk, elapsed_s=1.0)
             )
+            vec_chunk = _lease_blocking(pool, vec.worker_id)
+            assert pool.report(vec.worker_id, _evaluate_report(vec_chunk))
             by_name = {e["name"]: e for e in pool.roster()["roster"]}
-            assert by_name["vec"]["throughput_points_per_s"] == pytest.approx(
-                7.9
+            assert by_name["vec"]["throughput_points_per_s"] == 2.0
+            assert by_name["vec"]["points_completed"] == 3 + len(
+                vec_chunk.requests
             )
 
             while driver.is_alive():
@@ -456,12 +516,7 @@ class TestAdaptiveScheduling:
         per-lease carving, a late worker's first lease is sized for the
         pool as it exists *now*."""
         pool = WorkerPool(
-            _fast_config(
-                chunk_size=None,
-                chunks_per_worker=2,
-                steal=False,
-                speculate=False,
-            )
+            _fast_config(chunk_size=None, tail_min_lease_age_s=60.0)
         )
         requests = _many_requests(12)
         # Submit with NO workers registered; the slow local fallback
@@ -486,7 +541,7 @@ class TestAdaptiveScheduling:
             for i in range(3)
         ]
         # Three live workers now: every fresh lease is carved at
-        # ceil(remaining / (3 workers · 2 chunks-per-worker)) — small
+        # ceil(remaining / (3 workers · 4 chunks per worker)) — small
         # shares, NOT a quarter of the whole job.
         seen_sizes = []
         deadline = time.monotonic() + 30
@@ -507,67 +562,18 @@ class TestAdaptiveScheduling:
         assert not thread.is_alive()
         assert all(o.ok for o in outcome_box["outcomes"])
         assert seen_sizes, "late workers never leased anything"
-        # 12 points over 6 target chunks: every late lease is ≤ 2
-        # points (the old frozen sizing would have handed out 3s).
-        assert max(seen_sizes) <= 2
+        # The fallback took ceil(12/4) = 3 points; the other 9 over 12
+        # target chunks make every late lease 1 point (frozen sizing
+        # would have handed out 3s).
+        assert set(seen_sizes) == {1}
         assert len(seen_sizes) >= 3
 
-    def test_steal_splits_straggler_tail_byte_identical(self, tmp_path):
-        """An idle worker steals the tail half of a straggler's leased
-        chunk; both report, per-point first-wins keeps the batch
-        byte-identical to serial."""
-        pool = WorkerPool(
-            _fast_config(
-                chunk_size=4,
-                speculate=False,
-                tail_min_lease_age_s=0.0,
-            )
-        )
-        slow = _register(pool, name="straggler")
-        fast = _register(pool, name="thief")
-        requests = _many_requests(4)
-        driver = _RunThread(pool, requests)
-        driver.start()
-
-        victim = _lease_blocking(pool, slow.worker_id)
-        assert len(victim.requests) == 4
-        # Nothing pending, nothing to carve: the idle worker splits the
-        # straggler's tail (last 2 of 4 points) off as a new chunk.
-        stolen = _lease_blocking(pool, fast.worker_id)
-        assert stolen.chunk_id != victim.chunk_id
-        assert not stolen.speculative
-        assert [r.fingerprint() for r in stolen.requests] == [
-            r.fingerprint() for r in victim.requests[2:]
-        ]
-        assert _counter("service.chunks_stolen") == 1
-
-        # Thief reports first; the straggler's full report then only
-        # fills the 2 points the thief didn't already resolve.
-        assert pool.report(fast.worker_id, _evaluate_report(stolen))
-        assert pool.report(slow.worker_id, _evaluate_report(victim))
-        driver.join(timeout=30)
-        assert driver.error is None
-
-        outcomes = driver.outcomes
-        assert [o.index for o in outcomes] == [0, 1, 2, 3]
-        assert all(o.ok for o in outcomes)
-        for outcome, reference in zip(
-            outcomes, _serial_reference(requests, tmp_path)
-        ):
-            assert _strip_timings(outcome.value.to_dict()) == _strip_timings(
-                reference.to_dict()
-            )
-
     def test_speculative_duplicate_lease_first_report_wins(self):
-        """Near the tail (nothing to carve or steal) an idle worker
+        """Near the tail (nothing to carve or requeue) an idle worker
         duplicate-leases the in-flight chunk; the first report resolves
         it and the loser is dropped by the exactly-once dedup."""
         pool = WorkerPool(
-            _fast_config(
-                chunk_size=2,
-                steal=False,
-                tail_min_lease_age_s=0.0,
-            )
+            _fast_config(chunk_size=2, tail_min_lease_age_s=0.0)
         )
         slow = _register(pool, name="straggler")
         fast = _register(pool, name="spectre")
@@ -599,8 +605,7 @@ class TestAdaptiveScheduling:
             _fast_config(
                 backoff_base_s=0.5,
                 backoff_cap_s=1.0,
-                steal=False,
-                speculate=False,
+                tail_min_lease_age_s=60.0,
                 max_attempts=3,
             )
         )
@@ -871,15 +876,14 @@ class TestServiceWorkerEndToEnd:
                 worker.stop()
             server.stop()
 
-    def test_slow_worker_tail_stolen_or_speculated_byte_identical(
-        self, tmp_path
-    ):
-        """The ISSUE 9 chaos scenario: one worker is deliberately slowed
-        (chaos chunk delay ≫ the fast worker's evaluation time) but
-        keeps heartbeating — a straggler, not a corpse.  The scheduler
-        must finish the job tail via stealing/speculation instead of
-        waiting the straggler out, stay byte-identical to serial, and
-        surface per-worker throughput in the roster."""
+    def test_slow_worker_chunk_speculated_byte_identical(self, tmp_path):
+        """The straggler chaos scenario: one worker is deliberately
+        slowed (chaos chunk delay ≫ the fast worker's evaluation time)
+        but keeps heartbeating — a straggler, not a corpse.  The
+        scheduler must finish the job tail by speculatively duplicating
+        the straggler's chunk instead of waiting it out, stay
+        byte-identical to serial, and surface per-worker throughput in
+        the roster."""
         server = _boot_server(
             tmp_path,
             pool_config=_fast_config(
@@ -892,7 +896,7 @@ class TestServiceWorkerEndToEnd:
             tortoise = _WorkerThread(
                 server.url,
                 name="tortoise",
-                chaos=ChaosConfig(chunk_delay_s=1.5),
+                chaos=ChaosConfig(chunk_delay_s=30.0),
             )
             tortoise.start()
             _wait_for_workers(server, 1)
@@ -925,10 +929,9 @@ class TestServiceWorkerEndToEnd:
             batch = client.batch
             batch.report.raise_on_error()
             assert all(result is not None for result in batch.results)
-            # The tortoise sleeps 1.5s per chunk; had the tail waited
-            # for it the job could not finish under ~1.5s per held
-            # chunk.  (Generous bound — the point is "not serialized
-            # behind the straggler", not a precise speedup.)
+            # The tortoise sleeps 30 s per chunk; had the tail waited
+            # for it the job could not finish in under 30 s.  (Stopping
+            # the tortoise below cuts its sleep short.)
             assert elapsed < 20
 
             # Byte-identity vs serial over the server's cache (100%
@@ -947,13 +950,12 @@ class TestServiceWorkerEndToEnd:
                 )
 
             health = ServiceClient(server.url).health()
-            rescued = _health_counter(
-                health, "service.chunks_stolen"
-            ) + _health_counter(health, "service.leases_speculated")
-            assert rescued >= 1
+            assert _health_counter(health, "service.leases_speculated") >= 1
             by_name = {
                 e["name"]: e for e in health["workers"]["roster"]
             }
+            # The speculative copy resolved the whole straggler chunk.
+            assert by_name["tortoise"]["chunks_completed"] == 0
             assert by_name["hare"]["throughput_points_per_s"] is not None
             assert by_name["hare"]["throughput_points_per_s"] > 0
             assert by_name["hare"]["backend"] == "serial"
@@ -993,10 +995,12 @@ class TestServiceWorkerEndToEnd:
             assert entry["leases"] == []
             assert entry["points_completed"] == 0
             assert entry["throughput_points_per_s"] is None
-            scheduling = client.health()["scheduling"]
-            assert scheduling["steal"] is True
-            assert scheduling["speculate"] is True
-            assert scheduling["chunks_per_worker"] == 4
+            assert client.health()["scheduling"] == {
+                "lease_ttl_s": 0.5,
+                "heartbeat_interval_s": 0.1,
+                "chunk_size": 1,
+                "max_attempts": 3,
+            }
         finally:
             server.stop()
 
@@ -1272,3 +1276,8 @@ class TestCliWorkCommand:
         assert args.heartbeat_interval == 0.5
         assert args.chunk_size == 4
         assert args.max_chunk_attempts == 5
+        for removed in (
+            ["--chunks-per-worker", "2"], ["--no-steal"], ["--no-speculate"]
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *removed])
