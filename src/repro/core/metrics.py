@@ -756,16 +756,22 @@ def _survivability_chunk_size(
 ) -> int:
     """Points per chunk under the working-set byte budget.
 
-    Per point the batched uniformization holds the rate fill, the
-    column-sorted gather copy and the per-step contribution (~nnz
-    each) plus the accumulator, power vector, out-rate/diagonal rows
-    and reward column (~n each); 8 bytes per float. All of them but
-    the rate fill live in the solve space (``structure.dag``), so that
-    is what sizes them.
+    Per point the stacked-CSR uniformization holds, in the solve space
+    (``structure.dag``) and at 8 bytes per float: the rate fill and
+    the stiff-state truncation's masked copy of it (nnz each); the
+    stacked jump matrix's data, assembled once unpermuted and once
+    permuted, and its int32 indices (nnz + n slots, 2.5 floats each);
+    the time-major accumulator, its point-major copy and the returned
+    distributions (n per time each); the power vector and its
+    successor, the out-rates and their cut copy, and the reward column
+    (n each). Chunking never changes a point's bytes.
     """
     dag = structure.dag
-    per_point = 8 * (3 * dag.nnz + dag.num_states * (n_times + 4))
-    return max(1, max_batch_bytes // max(per_point, 1))
+    n = dag.num_states
+    per_point = 8 * (
+        2 * dag.nnz + 2.5 * (dag.nnz + n) + n * (3 * n_times + 5)
+    )
+    return max(1, int(max_batch_bytes // per_point))
 
 
 def _package_survivability(

@@ -12,7 +12,9 @@ One algorithm, two entry layers:
   with one power sequence ``π(0)Pᵏ`` shared by every requested time
   point. Per point the batch uses its *own* uniformization rate and
   truncated Poisson weights, and no step mixes points, so a point's
-  result does not depend on its batch mates;
+  result does not depend on its batch mates. A point whose fastest
+  states are out of reach within the mission runs at a lower rate with
+  those states cut, under a finite-state-projection certificate;
 * :func:`transient_distribution` / :func:`absorption_cdf` — one
   :class:`~repro.ctmc.chain.CTMC`: the ``P = 1`` call of the batched
   functions on the chain's own CSR pattern.
@@ -24,6 +26,7 @@ a dense ``expm`` oracle, the full-lattice chain) within
 
 from __future__ import annotations
 
+import logging
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -33,6 +36,8 @@ from ..errors import ParameterError, SolverError
 from ..obs import metrics, span
 from .chain import CTMC, _validate_pattern, _validate_rates
 from .poisson import poisson_weights
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "BATCH_EQUIVALENCE_RTOL",
@@ -51,6 +56,13 @@ __all__ = [
 #: uniformization, so backends agree with ``==``, not to this bound.
 BATCH_EQUIVALENCE_RTOL = 1e-9
 
+#: A point cuts the states whose out-rate exceeds its uniformization
+#: rate over this factor (see :func:`transient_distribution_batch`).
+_STIFF_CUT = 10.0
+
+#: Steps between the checks that abandon a doomed truncated sweep.
+_DOOM_CHECK_STEPS = 8
+
 
 def transient_distribution(
     chain: CTMC,
@@ -62,9 +74,9 @@ def transient_distribution(
     """State probability vectors at the requested ``times``.
 
     Returns an array of shape ``(len(times), n)`` (or ``(n,)`` for a
-    scalar ``times``). Exact to truncation mass ``eps`` per time point.
-    The one-point call of :func:`transient_distribution_batch` on the
-    chain's own CSR pattern.
+    scalar ``times``). Exact to ``eps`` of Poisson tail plus a certified
+    stiff-state sink mass of at most ``eps``. The one-point call of
+    :func:`transient_distribution_batch` on the chain's own CSR pattern.
     """
     R = chain.rates
     return transient_distribution_batch(
@@ -206,6 +218,98 @@ def _batch_initial(
     return np.clip(dist, 0.0, None) / sums[:, None]
 
 
+def _poisson_windows(
+    lam: np.ndarray, ts: np.ndarray, eps: float
+) -> list[tuple[int, int, np.ndarray]]:
+    """Per-time truncated Poisson windows ``(lo, hi, (P, window) block)``.
+
+    Each point's weights are padded into one ``(P, hi − lo + 1)`` block
+    per time, so a step accumulates with a single vectorised multiply
+    per active time. Points of a sweep often share Λ, so each distinct
+    ``Λ_p·t`` is computed once.
+    """
+    num_points = lam.size
+    poisson: dict[float, tuple[int, int, np.ndarray]] = {}
+    windows: list[tuple[int, int, np.ndarray]] = []
+    for t in ts:
+        if t == 0.0:
+            windows.append((0, 0, np.ones((num_points, 1))))
+            continue
+        lefts = np.empty(num_points, dtype=np.int64)
+        rights = np.empty(num_points, dtype=np.int64)
+        weights: list[np.ndarray] = []
+        for p in range(num_points):
+            mean = float(lam[p] * t)
+            if mean not in poisson:
+                poisson[mean] = poisson_weights(mean, eps)
+            left, right, w = poisson[mean]
+            lefts[p], rights[p] = left, right
+            weights.append(w)
+        lo, hi = int(lefts.min()), int(rights.max())
+        block = np.zeros((num_points, hi - lo + 1))
+        for p, w in enumerate(weights):
+            block[p, lefts[p] - lo : rights[p] + 1 - lo] = w
+        windows.append((lo, hi, block))
+    return windows
+
+
+def _uniformize(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    values: np.ndarray,
+    q: np.ndarray,
+    lam: np.ndarray,
+    pi0: np.ndarray,
+    ts: np.ndarray,
+    eps: float,
+    sinks: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """One shared power sequence ``v_k = π(0)P_pᵏ`` for every point.
+
+    Returns ``(dist_t, steps, doomed)``: the unnormalised Poisson
+    mixtures ``Σ_k w_k(Λ_p t) v_k`` in time-major ``(T, P, n)`` layout
+    (each per-time ``(P, n)`` slice is contiguous, so the per-step
+    weight accumulation writes unit-stride memory), the number of steps
+    run and, per point, whether its sink mass is already known to
+    exceed ``eps``. ``sinks`` is the ``(P, n)`` mask of each point's cut
+    states (sinks of the filled chain). Their mass ``s_k`` never
+    decreases with ``k``, so ``s_k · P(Pois(Λ_p t_max) ≥ k)`` is a
+    lower bound on the final sink mass; a point whose bound exceeds
+    ``eps`` is doomed, and the sweep stops once every point is. The
+    rows of an abandoned sweep are partial sums.
+    """
+    num_points, n = pi0.shape
+    num_times = ts.size
+    windows = _poisson_windows(lam, ts, eps)
+    k_max = max(hi for _, hi, _ in windows)
+    doomed = np.zeros(num_points, dtype=bool)
+    if sinks is not None:
+        lo_last, hi_last, block_last = windows[int(np.argmax(ts))]
+        # tails[p, k − lo_last] = Σ_{j ≥ k} w_j(Λ_p t_max)
+        tails = np.cumsum(block_last[:, ::-1], axis=1)[:, ::-1]
+
+    # Every point advances by one stacked CSR matvec per step.
+    jump_t = _stacked_jump_matrix(indptr, indices, values, q, lam)
+    los = np.array([lo for lo, _, _ in windows], dtype=np.int64)
+    his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
+    blocks_t = [np.ascontiguousarray(block.T) for _, _, block in windows]
+    out_t = np.zeros((num_times, num_points, n))
+    v = pi0
+    for k in range(k_max + 1):
+        active = np.flatnonzero((los <= k) & (k <= his))
+        for ti in active:
+            out_t[ti] += blocks_t[ti][k - los[ti]][:, None] * v
+        if sinks is not None and k % _DOOM_CHECK_STEPS == 0 and k <= hi_last:
+            tail = tails[:, max(k - lo_last, 0)]
+            doomed |= (v * sinks).sum(axis=1) * tail > eps
+            if doomed.all():
+                break
+        if k == k_max:
+            break
+        v = (jump_t @ v.reshape(-1)).reshape(num_points, n)
+    return out_t, k + 1, doomed
+
+
 def transient_distribution_batch(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -237,13 +341,26 @@ def transient_distribution_batch(
     -------
     ``(P, len(times), n)`` array (``(P, n)`` for scalar ``times``) of
     state distributions. Each point keeps its own uniformization rate
-    ``Λ_p = max_i q_i^p`` and its own truncated Poisson weights, so row
-    ``p`` equals :func:`transient_distribution` on point ``p`` alone
-    with ``==``. One shared power sequence serves every requested time
-    point: each step is one matvec with the stacked jump matrix
+    and its own truncated Poisson weights, so row ``p`` equals
+    :func:`transient_distribution` on point ``p`` alone with ``==``.
+    One shared power sequence serves every requested time point: each
+    step is one matvec with the stacked jump matrix
     (:func:`_stacked_jump_matrix`), and the Poisson windows accumulate
     into a time-major layout whose per-time ``(P, n)`` slices are
     contiguous.
+
+    Stiff-state truncation: each point cuts, from its own rates only,
+    the states whose out-rate exceeds ``Λ_p / 10`` (``Λ_p = max_i
+    q_i``) and hold no initial mass. A cut state's out-rates are zeroed,
+    which makes it a sink, and the point is uniformized at the largest
+    remaining out-rate ``Λ′_p``. Until the chain first enters a cut
+    state the truncated chain and the original move alike, so the sink
+    mass at the largest time bounds the total-variation error of every
+    distribution the point reports (the finite state projection bound).
+    A point whose sink mass exceeds ``eps`` is re-solved at its full
+    ``Λ_p``, with no cut. The error of a reported distribution is thus
+    bounded by the ``eps`` of the Poisson tails plus a certified sink
+    mass of at most ``eps``.
     """
     indptr, indices, n = _validate_pattern(indptr, indices)
     values = _validate_rates(values, indices.size)
@@ -261,64 +378,74 @@ def transient_distribution_batch(
         return empty[:, 0, :] if scalar else empty
 
     q = csr_row_sums(indptr, values)
-
+    lam = q.max(axis=1)
+    cut = (q > lam[:, None] / _STIFF_CUT) & (pi0 == 0.0)
+    q_cut = np.where(cut, 0.0, q)
+    lam_cut = q_cut.max(axis=1)
+    # A cut pays only where it lowers the point's uniformization rate.
+    trial = np.flatnonzero(lam_cut < lam)
     # Uniformization constants (Λ_p ≥ max q_i, strictly positive even
     # for an all-absorbing fill — matching ``CTMC.uniformization_rate``).
-    lam = q.max(axis=1)
     lam[lam <= 0.0] = 1.0
+    lam_cut[lam_cut <= 0.0] = 1.0
 
-    # Per-(point, time) truncated Poisson windows, padded per time point
-    # into one (P, window) weight block so step k accumulates with a
-    # single vectorised multiply per active time. Points of a sweep
-    # often share Λ, so each distinct Λ_p·t is computed once.
-    poisson: dict[float, tuple[int, int, np.ndarray]] = {}
-    windows: list[tuple[int, int, np.ndarray]] = []
-    for ti in range(num_times):
-        if ts[ti] == 0.0:
-            windows.append((0, 0, np.ones((num_points, 1))))
-            continue
-        lefts = np.empty(num_points, dtype=np.int64)
-        rights = np.empty(num_points, dtype=np.int64)
-        weights: list[np.ndarray] = []
-        for p in range(num_points):
-            mean = float(lam[p] * ts[ti])
-            if mean not in poisson:
-                poisson[mean] = poisson_weights(mean, eps)
-            left, right, w = poisson[mean]
-            lefts[p], rights[p] = left, right
-            weights.append(w)
-        lo, hi = int(lefts.min()), int(rights.max())
-        block = np.zeros((num_points, hi - lo + 1))
-        for p, w in enumerate(weights):
-            block[p, lefts[p] - lo : rights[p] + 1 - lo] = w
-        windows.append((lo, hi, block))
-    k_max = max(hi for _, hi, _ in windows)
-
-    # Shared power sequence: v_k = π(0) P_pᵏ per point, all points
-    # advanced by one stacked CSR matvec per step.
-    jump_t = _stacked_jump_matrix(indptr, indices, values, q, lam)
-
-    with span("transient_batch", points=num_points, times=num_times, steps=k_max + 1):
-        # Time-major accumulator: out_t[ti] is a contiguous (P, n)
-        # block, so the per-step weight accumulation writes unit-stride
-        # memory; transposed back to (P, T, n) at the end.
-        los = np.array([lo for lo, _, _ in windows], dtype=np.int64)
-        his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
-        blocks_t = [np.ascontiguousarray(block.T) for _, _, block in windows]
-        out_t = np.zeros((num_times, num_points, n))
-        v = pi0
-        for k in range(k_max + 1):
-            active = np.flatnonzero((los <= k) & (k <= his))
-            for ti in active:
-                out_t[ti] += blocks_t[ti][k - los[ti]][:, None] * v
-            if k == k_max:
-                break
-            v = (jump_t @ v.reshape(-1)).reshape(num_points, n)
-        out = np.ascontiguousarray(out_t.transpose(1, 0, 2))
+    out = np.empty((num_points, num_times, n))
+    cut_states = np.zeros(num_points, dtype=np.int64)
+    sink_bound = np.zeros(num_points)
+    accepted = trial[:0]
+    steps = 0
+    with span("transient_batch", points=num_points, times=num_times) as batch_span:
+        if trial.size:
+            sinks = cut[trial]
+            cut_values = values[trial]
+            cut_values[sinks[:, np.repeat(np.arange(n), np.diff(indptr))]] = 0.0
+            dist_t, ran, doomed = _uniformize(
+                indptr,
+                indices,
+                cut_values,
+                q_cut[trial],
+                lam_cut[trial],
+                pi0[trial],
+                ts,
+                eps,
+                sinks,
+            )
+            steps += ran
+            sink = (dist_t[int(np.argmax(ts))] * sinks).sum(axis=1)
+            ok = ~doomed & (sink <= eps)
+            accepted = trial[ok]
+            out[accepted] = (dist_t if ok.all() else dist_t[:, ok]).transpose(1, 0, 2)
+            del dist_t  # before the fallback sweep allocates its own
+            cut_states[accepted] = sinks[ok].sum(axis=1)
+            sink_bound[accepted] = sink[ok]
+        rest = np.setdiff1d(np.arange(num_points), accepted)
+        if rest.size:
+            dist_t, ran, _ = _uniformize(
+                indptr, indices, values[rest], q[rest], lam[rest], pi0[rest], ts, eps
+            )
+            out[rest] = dist_t.transpose(1, 0, 2)
+            steps += ran
+        fallbacks = trial.size - accepted.size
+        batch_span.set(
+            steps=steps,
+            cut_states=cut_states.tolist(),
+            sink_bound=sink_bound.tolist(),
+            fallbacks=fallbacks,
+        )
     registry = metrics()
     registry.counter("solver.transient_batch_solves").add()
     registry.counter("solver.transient_points_solved").add(num_points)
-    registry.counter("solver.uniformization_steps").add(k_max + 1)
+    registry.counter("solver.uniformization_steps").add(steps)
+    registry.counter("solver.truncation_fallbacks").add(fallbacks)
+    log.info(
+        "transient batch: %d points, %d truncated (max sink %.3g), "
+        "%d re-solved at full rate, %d steps",
+        num_points,
+        accepted.size,
+        float(sink_bound.max()),
+        fallbacks,
+        steps,
+    )
 
     # Guard against tiny negative round-off and renormalise.
     np.clip(out, 0.0, None, out=out)
@@ -341,8 +468,10 @@ def absorption_cdf_batch(
     The batched counterpart of :func:`absorption_cdf`:
     ``result["any"][p, i]`` is point ``p``'s probability of having been
     absorbed by ``times[i]`` (absorbing = zero out-rate *for that
-    point*), and each named class gets its defective CDF. All arrays
-    have shape ``(P, len(times))``.
+    point*, read from ``values`` — a state that the stiff-state
+    truncation cut is never counted), and each named class gets its
+    defective CDF. All arrays have shape ``(P, len(times))``, with the
+    error bound of :func:`transient_distribution_batch`.
     """
     dist = transient_distribution_batch(
         indptr,

@@ -15,6 +15,7 @@ across backends, the ``SurvivabilitySweep`` job spec, and the
 """
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from repro.ctmc import (
     transient_distribution,
     transient_distribution_batch,
 )
+from repro.ctmc.poisson import poisson_weights
+from repro.ctmc.transient import csr_row_sums
 from repro.engine import (
     BatchRunner,
     EvalRequest,
@@ -49,6 +52,13 @@ from repro.engine import (
     result_from_dict,
 )
 from repro.errors import ParameterError, SolverError
+from repro.obs import (
+    disable_tracing,
+    enable_tracing,
+    metrics,
+    tracer,
+    tracing_enabled,
+)
 from repro.params import GCSParameters
 
 N_TEST = 12  # lattice size that solves in ms
@@ -194,6 +204,8 @@ class TestTransientBatchUnit:
     def test_poisson_windows_once_per_distinct_mean(self, monkeypatch):
         # 12 points that differ in every rate but the fastest share one
         # uniformization rate, so 8 mission times need 8 windows, not 96.
+        # The fastest state is the initial one, so no stiff state is cut
+        # and the call runs one sweep.
         import repro.ctmc.transient as transient_module
 
         means = []
@@ -205,7 +217,7 @@ class TestTransientBatchUnit:
 
         monkeypatch.setattr(transient_module, "poisson_weights", counting)
         chain = CTMC.from_transitions(
-            4, [(3, 2, 1.0), (2, 1, 0.5), (2, 0, 0.25), (1, 0, 40.0)]
+            4, [(3, 2, 40.0), (2, 1, 1.0), (2, 0, 0.25), (1, 0, 0.5)]
         )
         R = chain.rates
         values = np.tile(R.data, (12, 1))
@@ -306,6 +318,16 @@ class TestSurvivabilityDifferential:
 
     def test_empty_batch(self):
         assert evaluate_survivability_batch([], times=TIMES) == []
+
+    def test_chunking_keeps_bytes(self):
+        # A 1-byte budget solves one point per chunk.
+        scenarios = _fig2_scenarios()[:3]
+        whole = evaluate_survivability_batch(scenarios, times=TIMES)
+        chunked = evaluate_survivability_batch(
+            scenarios, times=TIMES, max_batch_bytes=1
+        )
+        for result, reference in zip(chunked, whole):
+            _assert_curves_equal(result, reference)
 
     def test_mixed_group_sizes_keep_input_order(self):
         small = GCSParameters.small_test()
@@ -738,14 +760,33 @@ class TestFusedTransientKernel:
 class TestDenseExpmOracle:
     """Batched uniformization on the solve space against :func:`_expm_oracle`."""
 
-    def test_solve_space_matches_dense_expm(self):
+    def test_solve_space_matches_dense_expm(self, caplog):
+        # At N = 12 the stiff cut reaches the initial state's neighbours:
+        # every point fails its certificate and is re-solved at full Λ.
         structure, values = _paper_fills(_fig2_scenarios()[::4])
         dag = structure.dag
         n = dag.num_states
         times = (0.5, 2.0, 5.0)
-        dist = transient_distribution_batch(
-            dag.indptr, dag.indices, values, times, structure.solve_initial
-        )
+        with caplog.at_level(logging.INFO, logger="repro.ctmc.transient"):
+            dist, counts, spans = _traced(
+                lambda: transient_distribution_batch(
+                    dag.indptr, dag.indices, values, times, structure.solve_initial
+                )
+            )
+        assert counts["solver.truncation_fallbacks"] == values.shape[0] == 3
+        assert spans == [
+            {
+                "points": 3,
+                "times": 3,
+                "steps": counts["solver.uniformization_steps"],
+                "cut_states": [0, 0, 0],
+                "sink_bound": [0.0, 0.0, 0.0],
+                "fallbacks": 3,
+            }
+        ]
+        (record,) = [r for r in caplog.records if r.name == "repro.ctmc.transient"]
+        assert record.levelno == logging.INFO
+        assert "3 re-solved at full rate" in record.getMessage()
         for p in range(values.shape[0]):
             chain = CTMC(
                 sp.csr_matrix(
@@ -754,3 +795,202 @@ class TestDenseExpmOracle:
             )
             oracle = _expm_oracle(chain, times, structure.solve_initial)
             np.testing.assert_allclose(dist[p], oracle, rtol=RTOL, atol=ATOL)
+
+
+# ---------------------------------------------------------------------------
+# Certified stiff-state truncation
+# ---------------------------------------------------------------------------
+
+def _traced(solve):
+    """``solve()`` with spans on: its result, ``solver.*`` counter deltas
+    and the attributes of the ``transient_batch`` spans it opened."""
+    was_enabled = tracing_enabled()
+    enable_tracing()
+    before, mark = metrics().snapshot(), tracer().mark()
+    try:
+        result = solve()
+    finally:
+        if not was_enabled:
+            disable_tracing()
+    counts = {
+        name: entry["value"]
+        for name, entry in metrics().diff(before).items()
+        if name.startswith("solver.")
+    }
+    spans = [r.attrs for r in tracer().since(mark) if r.name == "transient_batch"]
+    return result, counts, spans
+
+
+#: Fast states of :func:`_stiff_chain`, 34 forward jumps from state 0.
+STIFF_STATES = tuple(range(34, 39))
+
+
+def _stiff_chain(absorbing=True, start_rate=1.0):
+    """A 40-state path with five 400 Hz states far from the start.
+
+    State ``i`` steps forward at 1.0 (state 0 at ``start_rate``) and
+    back at 0.5; the states in :data:`STIFF_STATES` also step back at
+    400. The last state is absorbing unless ``absorbing`` is false.
+    """
+    n = 40
+    transitions = [(0, 1, start_rate)]
+    transitions += [(i, i + 1, 1.0) for i in range(1, n - 1)]
+    transitions += [(i, i - 1, 0.5) for i in range(1, n - 1)]
+    transitions += [(i, i - 1, 400.0) for i in STIFF_STATES]
+    if not absorbing:
+        transitions.append((n - 1, n - 2, 0.5))
+    return CTMC.from_transitions(n, transitions)
+
+
+def _scaled_slow_rates(R, scales):
+    """One fill per scale: every rate but the 400 Hz ones times the scale."""
+    values = np.tile(R.data, (len(scales), 1))
+    slow = R.data < 400.0
+    values[:, slow] *= np.asarray(scales)[:, None]
+    return values
+
+
+class TestStiffTruncation:
+    TIMES = (0.5, 2.0, 5.0)
+
+    def test_certified_cut_matches_dense_expm(self):
+        # The 400 Hz states set Λ ≈ 400 but hold < 1e-15 by t = 5, so
+        # each point cuts them and runs at Λ′ = its slow rate.
+        R = _stiff_chain().rates
+        values = _scaled_slow_rates(R, [0.8, 1.0, 1.2])
+        batch, counts, spans = _traced(
+            lambda: transient_distribution_batch(
+                R.indptr, R.indices, values, self.TIMES, 0
+            )
+        )
+        assert "solver.truncation_fallbacks" not in counts
+        (attrs,) = spans
+        assert attrs["cut_states"] == [len(STIFF_STATES)] * 3
+        assert attrs["fallbacks"] == 0
+        assert all(0.0 < s <= 1e-12 for s in attrs["sink_bound"])
+        # Full-Λ windows alone would need > 400 · 5 steps.
+        assert counts["solver.uniformization_steps"] == attrs["steps"] < 200
+        for p in range(3):
+            chain_p = _per_point_chain(R, values[p])
+            oracle = _expm_oracle(chain_p, self.TIMES, 0)
+            np.testing.assert_allclose(batch[p], oracle, rtol=RTOL, atol=ATOL)
+            assert np.array_equal(transient_distribution(chain_p, self.TIMES, 0), batch[p])
+
+    def test_mixed_batch_rows_equal_each_point_alone(self):
+        # Scale 20 moves fast enough to reach the stiff states by t = 5:
+        # that point fails its certificate, its batch mate certifies.
+        R = _stiff_chain().rates
+        values = _scaled_slow_rates(R, [1.0, 20.0])
+        batch, counts, spans = _traced(
+            lambda: transient_distribution_batch(
+                R.indptr, R.indices, values, self.TIMES, 0
+            )
+        )
+        assert counts["solver.truncation_fallbacks"] == 1
+        assert spans[0]["cut_states"] == [len(STIFF_STATES), 0]
+        for p in range(2):
+            alone = transient_distribution_batch(
+                R.indptr, R.indices, values[p : p + 1], self.TIMES, 0
+            )[0]
+            assert np.array_equal(batch[p], alone)
+            oracle = _expm_oracle(_per_point_chain(R, values[p]), self.TIMES, 0)
+            np.testing.assert_allclose(batch[p], oracle, rtol=RTOL, atol=ATOL)
+
+    def test_doomed_attempt_stops_early(self):
+        # Scale 20 reaches the stiff states within ~2 s. The attempt is
+        # abandoned once its lower bound on the sink mass exceeds eps,
+        # long before its own Poisson window ends.
+        R = _stiff_chain().rates
+        values = _scaled_slow_rates(R, [20.0])
+        _, counts, spans = _traced(
+            lambda: transient_distribution_batch(
+                R.indptr, R.indices, values, self.TIMES, 0
+            )
+        )
+        assert counts["solver.truncation_fallbacks"] == spans[0]["fallbacks"] == 1
+        q = csr_row_sums(R.indptr, values)[0]
+        kept = np.ones(q.size, dtype=bool)
+        kept[list(STIFF_STATES)] = False
+        t_max = self.TIMES[-1]
+        full_steps = poisson_weights(q.max() * t_max, 1e-12)[1] + 1
+        attempt_window = poisson_weights(q[kept].max() * t_max, 1e-12)[1] + 1
+        attempt_steps = counts["solver.uniformization_steps"] - full_steps
+        assert 0 < attempt_steps < attempt_window / 2
+
+    def test_certificate_catches_an_undoomed_sink(self):
+        # A slow leak into a stiff state: the lower bound never exceeds
+        # eps during the sweep, but the sink holds ~2e-3 > eps at t = 5,
+        # so the final certificate sends the point to the full-Λ solve.
+        chain = CTMC.from_transitions(2, [(0, 1, 4e-4), (1, 0, 1000.0)])
+        R = chain.rates
+        _, counts, spans = _traced(
+            lambda: transient_distribution_batch(
+                R.indptr, R.indices, R.data[None, :], self.TIMES, 0, eps=1e-3
+            )
+        )
+        assert counts["solver.truncation_fallbacks"] == 1
+        assert spans[0]["cut_states"] == [0]
+
+    def test_initial_state_is_never_cut(self):
+        # The start state runs at 100 Hz, above Λ/10, but holds the
+        # initial mass: it is kept and sets Λ′. Cutting it would sink
+        # all mass at t = 0 and fail the certificate.
+        R = _stiff_chain(start_rate=100.0).rates
+        batch, counts, spans = _traced(
+            lambda: transient_distribution_batch(
+                R.indptr, R.indices, R.data[None, :], self.TIMES, 0
+            )
+        )
+        assert "solver.truncation_fallbacks" not in counts
+        assert spans[0]["cut_states"] == [len(STIFF_STATES)]
+        chain = _per_point_chain(R, R.data)
+        np.testing.assert_allclose(
+            batch[0], _expm_oracle(chain, self.TIMES, 0), rtol=RTOL, atol=ATOL
+        )
+
+    def test_cut_states_are_never_absorbing(self):
+        # Without an absorbing state "any" is exactly 0, although the
+        # certified cut states hold mass.
+        R = _stiff_chain(absorbing=False).rates
+        values = _scaled_slow_rates(R, [1.2])
+        dist = transient_distribution_batch(R.indptr, R.indices, values, self.TIMES, 0)
+        cdf = absorption_cdf_batch(R.indptr, R.indices, values, self.TIMES, 0)
+        assert dist[0, -1, list(STIFF_STATES)].sum() > 0.0
+        assert np.all(cdf["any"] == 0.0)
+
+    def test_survival_counts_only_originally_absorbing_states(self):
+        # At eps = 1e-3 small_test certifies a cut whose sink holds
+        # ~1e-5 by t = 5, so counting it as absorbed would move 1 − S(t).
+        from repro.core.fastpath import lattice_structure
+        from repro.core.metrics import _prepare_point
+        from repro.ctmc.transient import _STIFF_CUT
+
+        params = GCSParameters.small_test()
+        structure = lattice_structure(params.num_nodes)
+        values = _prepare_point(
+            structure, 0, params, None, include_breakdown=False, sizes=None
+        ).values[None, :]
+        dag = structure.dag
+        eps = 1e-3
+        dist, counts, _ = _traced(
+            lambda: transient_distribution_batch(
+                dag.indptr, dag.indices, values, TIMES, structure.solve_initial, eps=eps
+            )
+        )
+        assert "solver.truncation_fallbacks" not in counts
+        q = csr_row_sums(dag.indptr, values)[0]
+        absorbing = q == 0.0
+        cut = q > q.max() / _STIFF_CUT
+        cut[structure.solve_initial] = False
+        assert dist[0, -1, cut].sum() > 1e-9
+        counted = (dist[0] * absorbing).sum(axis=1)
+        with_cut = (dist[0] * (absorbing | cut)).sum(axis=1)
+        assert not np.array_equal(counted, with_cut)
+
+        cdf = absorption_cdf_batch(
+            dag.indptr, dag.indices, values, TIMES, structure.solve_initial, eps=eps
+        )
+        assert np.array_equal(cdf["any"][0], counted)
+        result = evaluate_survivability(params, times=TIMES, eps=eps)
+        assert result.failure_cdf["any"] == tuple(float(x) for x in counted)
+        assert result.survival == tuple(float(1.0 - x) for x in counted)
