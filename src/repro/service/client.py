@@ -36,6 +36,7 @@ from ..engine.executor import PointOutcome, SerialBackend
 from ..errors import ReproError
 from ..obs import absorb_telemetry
 from .protocol import (
+    MAX_WAIT_S,
     ChunkReport,
     FetchResponse,
     HeartbeatAck,
@@ -115,9 +116,17 @@ class ServiceClient:
         return JobStatus.from_dict(self._get(f"/api/v1/jobs/{job_id}"))
 
     def fetch(self, job_id: str, offset: int = 0) -> FetchResponse:
-        """Outcome records from ``offset`` on, in completion order."""
+        """Outcome records from ``offset`` on, in completion order.
+
+        The server holds the request until an entry is ready or the job
+        ends, for at most :data:`~repro.service.protocol.MAX_WAIT_S` or
+        half this client's ``timeout``, whichever is shorter.
+        """
+        wait = min(MAX_WAIT_S, self.timeout / 2)
         return FetchResponse.from_dict(
-            self._get(f"/api/v1/jobs/{job_id}/results?offset={int(offset)}")
+            self._get(
+                f"/api/v1/jobs/{job_id}/results?offset={int(offset)}&wait={wait:g}"
+            )
         )
 
     def jobs(self) -> list[JobStatus]:
@@ -147,7 +156,8 @@ class ServiceClient:
         return WorkerRegistered.from_dict(self._post("/api/v1/workers", body))
 
     def lease_chunk(self, worker_id: str) -> LeaseResponse:
-        """Ask for a chunk of work (``chunk=None`` when queue is empty)."""
+        """Ask for a chunk of work; the server holds the request until one
+        can be leased (``chunk=None`` when its hold ran out)."""
         return LeaseResponse.from_dict(
             self._post(f"/api/v1/workers/{worker_id}/lease", {})
         )
@@ -247,18 +257,18 @@ class RemoteBackend:
         is not one of the engine's own (the server always dispatches by
         request type).  Defaults to a fresh
         :class:`~repro.engine.executor.SerialBackend`.
-    poll_interval:
-        Base sleep between fetches while the stream has no new
-        entries; consecutive empty fetches back off exponentially
-        (jittered) up to ``poll_max_interval``, and a server
-        ``retry_after_s`` hint overrides the computed delay.
     poll_timeout:
         Overall deadline (seconds) for one batch; ``None`` waits
         forever.  On expiry a :class:`ServiceError` naming the job id
-        is raised.
+        is raised.  It is checked between fetches, and the server may
+        hold each fetch (see :meth:`ServiceClient.fetch`), so the error
+        can come up to one hold late.
     name:
         Campaign name attached to submissions (shows up in the
         server's job list and manifest filenames).
+
+    Fetches follow each other without a pause: the server holds each
+    one until there is something new, so the backend never sleeps.
 
     A server restart mid-stream is survived transparently: the fetch
     404s (the restarted server has no such job), the backend resubmits
@@ -274,16 +284,12 @@ class RemoteBackend:
         *,
         fallback: Optional[Any] = None,
         client: Optional[ServiceClient] = None,
-        poll_interval: float = 0.05,
-        poll_max_interval: float = 2.0,
         poll_timeout: Optional[float] = None,
         max_resubmits: int = 5,
         name: str = "remote-batch",
     ) -> None:
         self.client = client if client is not None else ServiceClient(url)
         self.fallback = fallback if fallback is not None else SerialBackend()
-        self.poll_interval = poll_interval
-        self.poll_max_interval = poll_max_interval
         self.poll_timeout = poll_timeout
         self.max_resubmits = max(0, int(max_resubmits))
         self.name = name
@@ -326,7 +332,6 @@ class RemoteBackend:
         received: set[int] = set()
         offset = 0
         resubmits = 0
-        empty_fetches = 0
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 raise ServiceError(
@@ -350,7 +355,6 @@ class RemoteBackend:
                     )
                     self.client.submit(tuple(items), name=self.name)
                     offset = 0
-                    empty_fetches = 0
                     continue
                 raise
             for entry in fetched.entries:
@@ -371,11 +375,6 @@ class RemoteBackend:
                     f"remote job {job_id[:12]} failed server-side: "
                     f"{status.detail or 'unknown error'}"
                 )
-            if not fetched.entries:
-                empty_fetches += 1
-                time.sleep(self._poll_delay(empty_fetches, fetched.retry_after_s))
-            else:
-                empty_fetches = 0
 
         missing = [i for i, outcome in enumerate(outcomes) if outcome is None]
         if missing:
@@ -390,18 +389,6 @@ class RemoteBackend:
         return f"remote:{self.client.url}"
 
     # ------------------------------------------------------------------
-    def _poll_delay(
-        self, empty_fetches: int, retry_after_s: Optional[float]
-    ) -> float:
-        """Backed-off sleep before the next fetch of an idle stream."""
-        if retry_after_s is not None:
-            return max(0.0, retry_after_s)
-        delay = min(
-            self.poll_max_interval,
-            self.poll_interval * (2 ** max(0, empty_fetches - 1)),
-        )
-        return delay * random.uniform(0.75, 1.25)
-
     @staticmethod
     def _dispatchable(fn: Callable[[Any], Any], items: Sequence[Any]) -> bool:
         return wire_dispatchable(fn, items)

@@ -60,6 +60,7 @@ the same deterministic solver, so it does not matter which copy wins.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import math
@@ -69,7 +70,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..engine.cache import result_from_dict
 from ..engine.executor import OutcomeFn, PointOutcome, run_chunk
@@ -122,10 +123,11 @@ class PoolConfig:
     #: re-arms the worker's held leases, so ``lease_ttl_s`` only needs
     #: to cover the heartbeat gap, not the whole chunk evaluation.
     heartbeat_interval_s: float = 1.0
-    #: Suggested sleep between empty lease polls (returned to workers
-    #: as ``retry_after_s`` — unless pending chunks are merely
-    #: backoff-blocked, in which case the hint is the actual wait until
-    #: the earliest one becomes eligible).
+    #: Longest the HTTP front end holds a lease request that finds no
+    #: work (also the ``retry_after_s`` hint of an empty lease — unless
+    #: pending chunks are merely backoff-blocked, in which case the hint
+    #: and the hold are the actual wait until the earliest one becomes
+    #: eligible).
     poll_interval_s: float = 0.5
     #: Failed attempts before a chunk is declared poison.
     max_attempts: int = 3
@@ -147,7 +149,8 @@ class PoolConfig:
 
     @property
     def lost_after_s(self) -> float:
-        """Heartbeat silence after which a worker no longer counts as live."""
+        """Heartbeat silence after which a worker no longer counts as live
+        (a worker whose lease request is being held is never silent)."""
         return max(self.lease_ttl_s, 3.0 * self.heartbeat_interval_s)
 
     def summary(self) -> dict:
@@ -180,19 +183,23 @@ class WorkerInfo:
     #: timing; their ratio is the roster's throughput.
     timed_points: int = 0
     timed_s: float = 0.0
+    #: Lease requests of this worker the front end is holding now.
+    holds: int = 0
+
+    def silent(self, now: float, lost_after_s: float) -> bool:
+        """True when nothing was heard for ``lost_after_s`` and no lease
+        request of this worker is being held."""
+        return not self.holds and now - self.last_seen > lost_after_s
 
     def live(self, now: float, lost_after_s: float) -> bool:
         """True when this worker may be leased new work."""
-        return (
-            self.state != "quarantined"
-            and now - self.last_seen <= lost_after_s
-        )
+        return self.state != "quarantined" and not self.silent(now, lost_after_s)
 
     def roster_entry(self, now: float, lost_after_s: float) -> dict:
         """The ``/health`` roster record for this worker."""
         age = now - self.last_seen
         state = self.state
-        if state not in ("quarantined", "lost") and age > lost_after_s:
+        if state not in ("quarantined", "lost") and self.silent(now, lost_after_s):
             state = "lost"
         return {
             "id": self.worker_id,
@@ -335,6 +342,10 @@ class WorkerPool:
         self._workers: dict[str, WorkerInfo] = {}
         self._chunks: dict[str, _Chunk] = {}
         self._runs: list[_RunState] = []
+        #: Called, under the pool lock, on every change that may make a
+        #: chunk leasable; the HTTP front end sets it to wake the lease
+        #: requests it holds.
+        self.on_change: Callable[[], None] = lambda: None
 
     # ------------------------------------------------------------------
     # Worker-facing API (called from the HTTP routes)
@@ -353,7 +364,7 @@ class WorkerPool:
                 registered_at=now,
                 last_seen=now,
             )
-            self._cond.notify_all()
+            self._notify_locked()
         metrics().counter("service.workers_registered").add()
         log.info(
             "worker %s registered: %s (pid %d on %s, backend %s)",
@@ -390,8 +401,26 @@ class WorkerPool:
                         },
                     )
             del self._workers[worker_id]
-            self._cond.notify_all()
+            self._notify_locked()
         log.info("worker %s deregistered", worker_id)
+
+    @contextlib.contextmanager
+    def holding(self, worker_id: str) -> Iterator[None]:
+        """Count ``worker_id`` as live while its lease request is held.
+
+        The front end holds an empty lease request for up to
+        ``poll_interval_s`` without hearing from the worker; the worker
+        must not turn ``lost`` meanwhile, nor may the local fallback
+        take a job because every worker is waiting for one.
+        """
+        with self._cond:
+            worker = self._require_worker(worker_id)
+            worker.holds += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                worker.holds -= 1
 
     def lease(self, worker_id: str) -> LeaseResponse:
         """Hand ``worker_id`` a chunk — requeued, carved, or speculated,
@@ -538,7 +567,7 @@ class WorkerPool:
         log.debug("distributing %d points", len(run.items))
         with self._cond:
             self._runs.append(run)
-            self._cond.notify_all()
+            self._notify_locked()
         try:
             self._drive(run, fallback, on_outcome)
         finally:
@@ -730,6 +759,11 @@ class WorkerPool:
                     best, best_age = chunk, age
         return best
 
+    def _notify_locked(self) -> None:
+        """Wake the dispatcher and the lease requests being held."""
+        self._cond.notify_all()
+        self.on_change()
+
     def _touch_worker_locked(self, worker: WorkerInfo, now: float) -> None:
         """Record contact; a ``lost`` worker that reaches us is back."""
         worker.last_seen = now
@@ -818,9 +852,8 @@ class WorkerPool:
         # before their leases expire; any later contact (heartbeat /
         # lease / report) recovers them via _touch_worker_locked.
         for worker in self._workers.values():
-            if (
-                worker.state in ("idle", "busy")
-                and now - worker.last_seen > self.config.lost_after_s
+            if worker.state in ("idle", "busy") and worker.silent(
+                now, self.config.lost_after_s
             ):
                 worker.state = "lost"
 
@@ -899,7 +932,7 @@ class WorkerPool:
             chunk.state = "pending"
             chunk.run.pending.append(chunk)
             metrics().counter("service.chunks_reassigned").add()
-        self._cond.notify_all()
+        self._notify_locked()
 
     def _resolve_locked(
         self, chunk: _Chunk, outcomes: list[PointOutcome]
@@ -924,7 +957,7 @@ class WorkerPool:
                 if not holder_worker.leases and holder_worker.state == "busy":
                     holder_worker.state = "idle"
         chunk.leases.clear()
-        self._cond.notify_all()
+        self._notify_locked()
 
     @staticmethod
     def _rebuild_outcomes(

@@ -41,6 +41,7 @@ from ..engine.batch import (
 from ..errors import ReproError
 
 __all__ = [
+    "MAX_WAIT_S",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "SubmitRequest",
@@ -68,8 +69,16 @@ __all__ = [
 #: ``ChunkReport.elapsed_s``.  v3 added the advisory
 #: ``WorkerRegistration`` kernel echo, which is no longer sent or
 #: reported now that the solvers have one kernel; registrations that
-#: still carry it are accepted and the field is ignored.
-PROTOCOL_VERSION = 3
+#: still carry it are accepted and the field is ignored.  v4 holds
+#: result fetches (``?wait=``) and lease requests until there is
+#: something to answer, and drops ``FetchResponse.retry_after_s``: a v4
+#: client never sleeps between fetches, so it must not talk to a v3
+#: server (the version checks on submit and registration refuse it).
+PROTOCOL_VERSION = 4
+
+#: Longest hold, in seconds, a result fetch may ask for with ``?wait=``
+#: (larger values are clamped to it).
+MAX_WAIT_S = 5.0
 
 #: Maximum request-body size the server accepts (16 MiB — a full
 #: N=100 paper campaign serialises to well under 1 MiB).
@@ -378,11 +387,10 @@ class FetchResponse:
     next_offset: int = 0
     complete: bool = False
     telemetry: Optional[dict] = None
-    retry_after_s: Optional[float] = None
 
     def to_dict(self) -> dict:
         """JSON-ready fetch response."""
-        payload = {
+        return {
             "protocol_version": PROTOCOL_VERSION,
             "job_id": self.job_id,
             "state": self.state,
@@ -391,9 +399,6 @@ class FetchResponse:
             "complete": self.complete,
             "telemetry": self.telemetry,
         }
-        if self.retry_after_s is not None:
-            payload["retry_after_s"] = self.retry_after_s
-        return payload
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FetchResponse":
@@ -401,7 +406,6 @@ class FetchResponse:
         entries = data.get("entries", [])
         if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
             raise ProtocolError("'entries' must be a list")
-        retry_after = data.get("retry_after_s")
         return cls(
             job_id=str(_require(data, "job_id")),
             state=str(_require(data, "state")),
@@ -409,7 +413,6 @@ class FetchResponse:
             next_offset=int(data.get("next_offset", 0)),
             complete=bool(data.get("complete", False)),
             telemetry=data.get("telemetry"),
-            retry_after_s=float(retry_after) if retry_after is not None else None,
         )
 
 
@@ -464,8 +467,8 @@ class WorkerRegistered:
 
     The worker must heartbeat at ``heartbeat_interval_s`` and finish
     each chunk inside ``lease_ttl_s`` (heartbeats extend the lease);
-    ``poll_interval_s`` is the suggested sleep between empty lease
-    polls.
+    ``poll_interval_s`` is the longest the server holds an empty lease
+    request.
     """
 
     worker_id: str
@@ -485,7 +488,18 @@ class WorkerRegistered:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkerRegistered":
-        """Parse a registration response."""
+        """Parse a registration response from a server of this version.
+
+        A worker re-polls at once after an empty lease, so a server
+        that answers lease requests without holding them must be
+        refused here rather than polled in a tight loop.
+        """
+        declared = data.get("protocol_version")
+        if declared != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"protocol version mismatch: server speaks {declared!r}, "
+                f"worker speaks {PROTOCOL_VERSION}"
+            )
         return cls(
             worker_id=str(_require(data, "worker_id")),
             lease_ttl_s=float(_require(data, "lease_ttl_s")),
@@ -553,9 +567,10 @@ class ChunkLease:
 class LeaseResponse:
     """Body of ``POST /api/v1/workers/<id>/lease``.
 
-    ``chunk`` is ``None`` when no work is pending, in which case
-    ``retry_after_s`` tells the worker how long to sleep before asking
-    again.
+    ``chunk`` is ``None`` when no work became leasable while the server
+    held the request; the worker asks again at once.  ``retry_after_s``
+    is the pool's wait hint at the time of the answer, which bounds how
+    long the server held the request.
     """
 
     chunk: Optional[ChunkLease] = None

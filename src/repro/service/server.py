@@ -26,13 +26,19 @@ Routes (all JSON; see ``docs/service.md`` for the operator guide)::
     POST /api/v1/campaigns                    submit (idempotent by content)
     GET  /api/v1/jobs                         list jobs
     GET  /api/v1/jobs/<id>                    poll one job's progress
-    GET  /api/v1/jobs/<id>/results            fetch outcomes (?offset=K)
+    GET  /api/v1/jobs/<id>/results            fetch outcomes (?offset=K&wait=S)
     GET  /health                              liveness + metrics + worker roster
     POST /api/v1/workers                      register a pool worker
-    POST /api/v1/workers/<id>/lease           pull a chunk under a lease
+    POST /api/v1/workers/<id>/lease           pull a chunk under a lease (held)
     POST /api/v1/workers/<id>/heartbeat       re-arm held leases
     POST /api/v1/workers/<id>/result          report a chunk's outcomes
     POST /api/v1/workers/<id>/deregister      leave the pool cleanly
+
+Result fetches and lease requests are *held*: the front end answers
+once there is something to answer (or the hold runs out), woken by the
+change hooks that the service's job thread and the pool fire.  A held
+request awaits a future those hooks resolve, so it occupies neither
+the event loop nor a thread.
 
 The worker routes front the fault-tolerant
 :class:`~repro.service.pool.WorkerPool`: every service wraps its local
@@ -52,12 +58,13 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 import os
 import queue
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..engine.batch import BatchRunner, evaluate_auto
@@ -73,10 +80,12 @@ from ..obs import (
 from .pool import DistributedBackend, PoolConfig, WorkerPool
 from .protocol import (
     MAX_BODY_BYTES,
+    MAX_WAIT_S,
     PROTOCOL_VERSION,
     ChunkReport,
     FetchResponse,
     JobStatus,
+    LeaseResponse,
     ProtocolError,
     SubmitRequest,
     SubmitResponse,
@@ -101,8 +110,8 @@ class _Job:
     reader holding the lock always sees a consistent prefix.
     """
 
-    def __init__(self, submit: SubmitRequest) -> None:
-        self.job_id = submit.job_id
+    def __init__(self, submit: SubmitRequest, job_id: str) -> None:
+        self.job_id = job_id
         self.submit = submit
         self.state = "queued"
         self.created_at = time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime())
@@ -204,6 +213,10 @@ class SweepService:
         self.started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime())
         self._jobs: "OrderedDict[str, _Job]" = OrderedDict()
         self._lock = threading.Lock()
+        #: Called after every stream append and every terminal state
+        #: change, from the job thread; the HTTP front end sets it to
+        #: wake the result fetches it holds.
+        self.on_change: Callable[[], None] = lambda: None
         self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._worker = threading.Thread(
             target=self._worker_loop, name="sweep-service-worker", daemon=True
@@ -231,7 +244,7 @@ class SweepService:
                     state=existing.state,
                     resubmitted=True,
                 )
-            job = _Job(submit)
+            job = _Job(submit, job_id)
             self._jobs[job_id] = job
             self._evict_terminal_locked()
         self._queue.put(job)
@@ -260,8 +273,10 @@ class SweepService:
         a result record from the shared cache (or the finished batch),
         an error record from the finished report.  Mid-run, the slice
         stops early at the first entry that is not ready yet; the
-        client resumes from ``next_offset`` on its next poll, so the
-        stream stays contiguous and nothing is emitted twice.
+        client resumes from ``next_offset`` on its next fetch, so the
+        stream stays contiguous and nothing is emitted twice.  This
+        call never waits; the HTTP front end holds a ``?wait=`` fetch
+        by calling it again after each :attr:`on_change`.
         """
         if offset < 0:
             raise ProtocolError("offset must be >= 0")
@@ -309,14 +324,6 @@ class SweepService:
             next_offset=cursor,
             complete=complete,
             telemetry=telemetry if complete else None,
-            # Nothing new this time: hint how long the client should
-            # back off before the next fetch (queued jobs move slower
-            # than a mid-run stream pause).
-            retry_after_s=(
-                (0.25 if state == "queued" else 0.05)
-                if not complete and not entries
-                else None
-            ),
         )
 
     def health(self) -> dict:
@@ -421,6 +428,7 @@ class SweepService:
                 with self._lock:
                     job.state = "failed"
                     job.detail = f"{type(exc).__name__}: {exc}"
+                self.on_change()
 
     def _execute(self, job: _Job) -> None:
         with self._lock:
@@ -437,6 +445,7 @@ class SweepService:
                     job.evaluated += 1
                 else:
                     job.errors += 1
+            self.on_change()
 
         self._distributed.job_id = job.job_id
         try:
@@ -459,6 +468,7 @@ class SweepService:
             job.elapsed_seconds = time.perf_counter() - (job.started or 0.0)
             job.manifest_path = manifest_path
             job.state = "done"
+        self.on_change()
         log.info(
             "job %s done: %s", job.job_id[:12], batch.report.describe()
         )
@@ -501,6 +511,11 @@ class ServiceServer:
         self.port = port
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Resolved, and replaced by a fresh future, on every change the
+        #: service or pool reports; held requests await it.
+        self._changed: Optional[asyncio.Future] = None
+        #: Tasks of the requests being held right now.
+        self._held: set[asyncio.Task] = set()
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._url: Optional[str] = None
@@ -553,11 +568,29 @@ class ServiceServer:
     def _request_stop(self) -> None:
         if self._server is not None:
             self._server.close()
+        # Held requests answer at once with what they have (the server
+        # no longer serves); every other task is cancelled.
+        self._wake()
         for task in asyncio.all_tasks(self._loop):
-            task.cancel()
+            if task not in self._held:
+                task.cancel()
+
+    def _notify(self) -> None:
+        """Wake every held request; safe from any thread, and a no-op
+        once the front end has stopped."""
+        try:
+            self._loop.call_soon_threadsafe(self._wake)
+        except RuntimeError:  # event loop closed: nothing is held
+            pass
+
+    def _wake(self) -> None:
+        changed, self._changed = self._changed, self._loop.create_future()
+        changed.set_result(None)
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
+        self._changed = self._loop.create_future()
+        self.service.on_change = self.service.pool.on_change = self._notify
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -572,6 +605,8 @@ class ServiceServer:
                 await self._server.serve_forever()
         except asyncio.CancelledError:
             pass
+        if self._held:
+            await asyncio.wait(self._held)
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -638,13 +673,13 @@ class ServiceServer:
         path = split.path.rstrip("/") or "/"
         query = parse_qs(split.query)
         try:
-            return self._route(method.upper(), path, query, body)
+            return await self._route(method.upper(), path, query, body)
         except ProtocolError as exc:
             return exc.status, {"error": str(exc)}
         except ReproError as exc:
             return 400, {"error": str(exc)}
 
-    def _route(
+    async def _route(
         self, method: str, path: str, query: dict, body: bytes
     ) -> tuple[int, dict]:
         service = self.service
@@ -670,7 +705,7 @@ class ServiceServer:
             if method != "POST":
                 return 405, {"error": "use POST"}
             if action == "lease":
-                return 200, service.pool.lease(worker_id).to_dict()
+                return 200, (await self._held_lease(worker_id)).to_dict()
             if action == "heartbeat":
                 data = self._json_body(body) if body else {}
                 chunks = data.get("chunks", [])
@@ -705,12 +740,70 @@ class ServiceServer:
                 if method != "GET":
                     return 405, {"error": "use GET"}
                 offset = self._int_param(query, "offset", 0)
-                return 200, service.fetch(job_id, offset).to_dict()
+                wait = self._wait_param(query)
+                return 200, (await self._held_fetch(job_id, offset, wait)).to_dict()
             if "/" not in rest:
                 if method != "GET":
                     return 405, {"error": "use GET"}
                 return 200, service.status(rest).to_dict()
         return 404, {"error": f"no route for {method} {path}"}
+
+    async def _held_fetch(
+        self, job_id: str, offset: int, wait: float
+    ) -> FetchResponse:
+        """Fetch, held until an entry is ready, the job is terminal, or
+        ``wait`` seconds pass."""
+        end = asyncio.get_running_loop().time() + wait
+
+        def attempt(now: float) -> tuple[FetchResponse, float]:
+            response = self.service.fetch(job_id, offset)
+            if response.entries or response.state in _TERMINAL_STATES:
+                return response, now
+            return response, end
+
+        return await self._hold(attempt)
+
+    async def _held_lease(self, worker_id: str) -> LeaseResponse:
+        """Lease, held until a chunk can be leased, the pool's backoff
+        hint expires, or ``poll_interval_s`` passes."""
+        pool = self.service.pool
+        end = asyncio.get_running_loop().time() + pool.config.poll_interval_s
+
+        def attempt(now: float) -> tuple[LeaseResponse, float]:
+            response = pool.lease(worker_id)
+            if response.chunk is not None:
+                return response, now
+            return response, min(end, now + response.retry_after_s)
+
+        with pool.holding(worker_id):
+            return await self._hold(attempt)
+
+    async def _hold(self, attempt: Callable[[float], tuple[Any, float]]) -> Any:
+        """Run ``attempt(now)`` once, then again after every change,
+        until the loop time it returns with its response has come or
+        the server stops serving.
+
+        The change future is taken before each attempt, so a change that
+        lands between the attempt and the await is not missed.  Waiting
+        on it (shielded, so a timeout cancels only this wait) starts no
+        task that :meth:`_request_stop` could cancel.
+        """
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        self._held.add(task)
+        try:
+            while True:
+                changed = self._changed
+                response, until = attempt(loop.time())
+                remaining = until - loop.time()
+                if remaining <= 0.0 or not self._server.is_serving():
+                    return response
+                try:
+                    await asyncio.wait_for(asyncio.shield(changed), remaining)
+                except asyncio.TimeoutError:
+                    pass
+        finally:
+            self._held.discard(task)
 
     @staticmethod
     def _json_body(body: bytes) -> dict:
@@ -721,6 +814,21 @@ class ServiceServer:
         if not isinstance(data, dict):
             raise ProtocolError("body must be a JSON object")
         return data
+
+    @staticmethod
+    def _wait_param(query: dict) -> float:
+        """The ``wait`` query param: a finite number ≥ 0 of seconds,
+        clamped to :data:`~repro.service.protocol.MAX_WAIT_S`."""
+        values = query.get("wait")
+        if not values:
+            return 0.0
+        try:
+            wait = float(values[0])
+        except ValueError:
+            wait = math.nan
+        if not (math.isfinite(wait) and wait >= 0.0):
+            raise ProtocolError("query param 'wait' must be a finite number >= 0")
+        return min(wait, MAX_WAIT_S)
 
     @staticmethod
     def _int_param(query: dict, name: str, default: int) -> int:

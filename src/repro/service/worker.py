@@ -5,7 +5,9 @@
 *stateless*: it registers with the sweep service, then loops —
 
 1. ``POST /workers/<id>/lease`` — ask for a chunk of a job's cache
-   misses (sleeping ``retry_after_s`` when the queue is empty);
+   misses (the server holds the request until a chunk can be leased,
+   or for at most the pool's ``poll_interval_s``; an empty answer is
+   simply asked again);
 2. evaluate the chunk through the engine's shared chunk protocol
    (:func:`repro.engine.executor.run_chunk` with ``evaluate_auto`` on
    its local backend), while a sidecar thread heartbeats so the
@@ -63,9 +65,9 @@ class ServiceWorker:
     max_chunks:
         Stop cleanly after this many completed chunks (``None`` = run
         until :meth:`stop`).  Used by tests and bounded CI runs.
-    poll_interval:
-        Fallback sleep between empty lease polls when the server does
-        not send a ``retry_after_s`` hint.
+
+    :meth:`stop` takes effect after the current chunk, or once the
+    server answers the lease request it is holding.
     """
 
     def __init__(
@@ -77,14 +79,12 @@ class ServiceWorker:
         chaos: Optional[ChaosConfig] = None,
         client: Optional[ServiceClient] = None,
         max_chunks: Optional[int] = None,
-        poll_interval: float = 0.5,
     ) -> None:
         self.client = client if client is not None else ServiceClient(url)
         self.backend = backend if backend is not None else SerialBackend()
         self.name = name or f"{socket.gethostname()}:{os.getpid()}"
         self.chaos = chaos if chaos is not None else ChaosConfig()
         self.max_chunks = max_chunks
-        self.poll_interval = poll_interval
         self.worker_id: Optional[str] = None
         self.chunks_completed = 0
         self.chunks_failed = 0
@@ -128,10 +128,8 @@ class ServiceWorker:
                     self._register()
                     continue
                 raise
-            if lease.chunk is None:
-                self._sleep(lease.retry_after_s or self.poll_interval)
-                continue
-            self._process(lease.chunk)
+            if lease.chunk is not None:
+                self._process(lease.chunk)
         # Reached only on a clean exit (stop() or max_chunks): a chaos
         # kill or crash must propagate WITHOUT deregistering, so the
         # server notices the death via missed heartbeats, not a
@@ -151,7 +149,6 @@ class ServiceWorker:
         )
         self.worker_id = registered.worker_id
         self._heartbeat_interval = registered.heartbeat_interval_s
-        self.poll_interval = registered.poll_interval_s or self.poll_interval
 
     def _deregister(self) -> None:
         if self.worker_id is None:
@@ -160,9 +157,6 @@ class ServiceWorker:
             self.client.deregister_worker(self.worker_id)
         except ServiceError:
             log.debug("worker %s: deregister failed (server gone?)", self.worker_id)
-
-    def _sleep(self, seconds: float) -> None:
-        self._stop.wait(timeout=seconds)
 
     def _process(self, chunk: ChunkLease) -> None:
         """Evaluate one leased chunk and report it (chaos hooks inline)."""

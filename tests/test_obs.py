@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from collections import Counter
 
@@ -306,6 +307,11 @@ MIN_CHILD_COVERAGE = 0.95
 #: The same for a pool worker's ``chunk.solve``; its first chunk also
 #: builds the lattice structure, as a direct child span.
 MIN_CHUNK_COVERAGE = 0.90
+#: Traced pool sweeps per chunk-coverage check. Chunks last 30–130 ms,
+#: so one scheduler stall between two child spans can cost a chunk 10%
+#: of wall time; the check reads the median sweep's worst chunk, so a
+#: stall in one sweep is outvoted while missing spans fail every sweep.
+CHUNK_COVERAGE_SWEEPS = 3
 
 
 def _child_coverage(records, parent_name: str) -> list[tuple[float, set]]:
@@ -363,22 +369,27 @@ class TestLayerCoverage:
     def test_pool_chunks_have_no_dark_solve_time(self, tmp_path):
         from repro.core.fastpath import clear_structure_cache
 
-        # Forked workers inherit the parent's structure cache; start
-        # empty so every worker has to build its own.
-        clear_structure_cache()
-        records = _traced_quick_sweep(tmp_path, "vector:2")
-        coverage = _child_coverage(records, "chunk.solve")
-        assert coverage, "no chunk.solve span recorded"
-        for covered, names in coverage:
-            assert {"prepare.rates", "prepare.costs", "solve.mean"} <= names
-            assert "package" in names
-            assert covered >= MIN_CHUNK_COVERAGE, (covered, names)
-        chunk_pids = {r.pid for r in records if r.name == "chunk.solve"}
-        builds = Counter(
-            r.pid for r in records if r.name == "fastpath.build_structure"
-        )
-        assert os.getpid() not in chunk_pids
-        assert builds == {pid: 1 for pid in chunk_pids}
+        worst = []
+        for sweep in range(CHUNK_COVERAGE_SWEEPS):
+            # Forked workers inherit the parent's structure cache; start
+            # empty so every worker has to build its own.
+            clear_structure_cache()
+            out = tmp_path / f"sweep-{sweep}"
+            out.mkdir()
+            records = _traced_quick_sweep(out, "vector:2")
+            coverage = _child_coverage(records, "chunk.solve")
+            assert coverage, "no chunk.solve span recorded"
+            for _covered, names in coverage:
+                assert {"prepare.rates", "prepare.costs", "solve.mean"} <= names
+                assert "package" in names
+            worst.append(min(covered for covered, _ in coverage))
+            chunk_pids = {r.pid for r in records if r.name == "chunk.solve"}
+            builds = Counter(
+                r.pid for r in records if r.name == "fastpath.build_structure"
+            )
+            assert os.getpid() not in chunk_pids
+            assert builds == {pid: 1 for pid in chunk_pids}
+        assert statistics.median(worst) >= MIN_CHUNK_COVERAGE, worst
 
     @pytest.mark.parametrize(
         "kind, jobs",

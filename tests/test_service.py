@@ -9,12 +9,18 @@ The correctness bar for the service tier (see ISSUE 7 / ROADMAP item 1):
   sharing the same cache directory — is 100% cache hits;
 * ``/health`` and per-job progress are rendered from the merged obs
   metrics registry;
-* malformed requests are 4xx JSON errors, never tracebacks.
+* malformed requests are 4xx JSON errors, never tracebacks;
+* a result fetch is held until there is something to answer, so the
+  client never sleeps between fetches.
 
 Every server here is booted in-process on an ephemeral port.
 """
 
 import json
+import sys
+import threading
+import time
+import types
 import urllib.error
 import urllib.request
 
@@ -35,6 +41,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceServer,
+    SubmitRequest,
     SweepService,
 )
 
@@ -61,6 +68,42 @@ def server(tmp_path):
     srv.start_in_background()
     yield srv
     srv.stop()
+
+
+class _GatedSerial(SerialBackend):
+    """A serial backend that evaluates only once ``gate`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+
+    def run(self, fn, items, *, on_outcome=None):
+        assert self.gate.wait(timeout=30), "gate never opened"
+        return super().run(fn, items, on_outcome=on_outcome)
+
+
+@pytest.fixture()
+def gated(tmp_path):
+    """A server whose jobs run only once ``backend.gate`` is set."""
+    backend = _GatedSerial()
+    service = SweepService(
+        cache=ResultCache(cache_dir=str(tmp_path / "gated-cache")),
+        backend=backend,
+    )
+    srv = ServiceServer(service, port=0)
+    srv.start_in_background()
+    yield srv, backend.gate
+    backend.gate.set()
+    srv.stop()
+
+
+def _wait_done(service, job_id, timeout=30.0):
+    """Block until ``job_id`` is terminal; the monotonic time it was seen."""
+    deadline = time.monotonic() + timeout
+    while service.status(job_id).state not in ("done", "failed"):
+        assert time.monotonic() < deadline, f"job {job_id} did not finish"
+        time.sleep(0.001)
+    return time.monotonic()
 
 
 def _requests(count=3):
@@ -231,6 +274,29 @@ class TestIdempotencyAndRecovery:
         assert manifest["cache_stats"]["stores"] >= len(requests)
 
 
+    def test_submission_is_hashed_once(self, tmp_path, monkeypatch):
+        import repro.service.protocol as protocol
+
+        calls = []
+        job_id_for = protocol.job_id_for
+
+        def counted(requests):
+            calls.append(len(requests))
+            return job_id_for(requests)
+
+        monkeypatch.setattr(protocol, "job_id_for", counted)
+        service = SweepService(
+            cache=ResultCache(cache_dir=str(tmp_path / "cache")),
+            backend=SerialBackend(),
+        )
+        try:
+            response = service.submit(SubmitRequest(requests=_requests(2)))
+            assert calls == [2]
+            assert service.status(response.job_id).job_id == response.job_id
+        finally:
+            service.shutdown()
+
+
 class TestObservabilitySurface:
     def test_health_renders_merged_metrics(self, server):
         client = ServiceClient(server.url)
@@ -330,6 +396,178 @@ class TestHttpFailureModes:
         client = ServiceClient("http://127.0.0.1:1", timeout=2)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
+
+
+class TestHeldFetch:
+    def test_held_fetch_returns_outcome_once_the_gate_opens(
+        self, gated, monkeypatch
+    ):
+        import repro.service.client as client_module
+
+        def no_sleep(seconds):
+            raise AssertionError(f"the client slept {seconds}s")
+
+        # Scoped to the client module: the server and the gated backend
+        # keep the real clock.
+        monkeypatch.setattr(
+            client_module,
+            "time",
+            types.SimpleNamespace(monotonic=time.monotonic, sleep=no_sleep),
+        )
+        server, gate = gated
+        client = ServiceClient(server.url)
+        offsets = []
+        fetch = client.fetch
+
+        def counted(job_id, offset=0):
+            offsets.append(offset)
+            return fetch(job_id, offset)
+
+        client.fetch = counted
+        box = {}
+
+        def run():
+            try:
+                box["outcomes"] = RemoteBackend(client=client).run(
+                    evaluate_auto, _requests(1)
+                )
+            except BaseException as exc:  # noqa: BLE001 — checked below
+                box["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        assert thread.is_alive() and offsets == [0], "the fetch was not held"
+        gate.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert "error" not in box, box.get("error")
+        (outcome,) = box["outcomes"]
+        assert outcome.ok
+        # One held fetch carried the job from running to done.
+        assert offsets == [0]
+
+    def test_sixteen_held_fetches_and_health_are_answered(self, gated):
+        server, gate = gated
+        job_id = ServiceClient(server.url).submit(_requests(1)).job_id
+        answered = {}
+
+        def fetch(k):
+            response = ServiceClient(server.url).fetch(job_id, 0)
+            answered[k] = (time.monotonic(), response)
+
+        threads = [
+            threading.Thread(target=fetch, args=(k,), daemon=True)
+            for k in range(16)
+        ]
+        # Frequent thread switches interleave the job thread's change
+        # notifications with the holds; a lost wake-up would leave a
+        # fetch held for its full 5 s.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)
+            assert not answered, "a fetch was answered before the job moved"
+            # Sixteen holds occupy no thread: the front end still answers.
+            started = time.monotonic()
+            status, health = _http(server.url + "/health")
+            assert status == 200 and health["status"] == "ok"
+            assert time.monotonic() - started < 1.0
+
+            gate.set()
+            done_at = _wait_done(server.service, job_id)
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert len(answered) == 16
+        for at, response in answered.values():
+            assert at - done_at < 1.0
+            assert [e["index"] for e in response.entries] == [0]
+            assert response.next_offset == 1
+
+    @pytest.mark.parametrize("wait", ["-1", "nan", "inf", "abc"])
+    def test_bad_wait_is_400(self, server, wait):
+        job_id = ServiceClient(server.url).submit(_requests(1)).job_id
+        status, body = _http(
+            server.url + f"/api/v1/jobs/{job_id}/results?offset=0&wait={wait}"
+        )
+        assert status == 400
+        assert "'wait'" in body["error"]
+
+    def test_unknown_job_and_bad_offset_answer_before_any_hold(self, gated):
+        server, _gate = gated
+        job_id = ServiceClient(server.url).submit(_requests(1)).job_id
+        started = time.monotonic()
+        status, _ = _http(server.url + "/api/v1/jobs/deadbeef/results?wait=5")
+        assert status == 404
+        status, _ = _http(
+            server.url + f"/api/v1/jobs/{job_id}/results?offset=9999&wait=5"
+        )
+        assert status == 400
+        assert time.monotonic() - started < 2.0
+
+    def test_wait_is_clamped_and_optional(self, gated, monkeypatch):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_WAIT_S", 0.2)
+        server, _gate = gated
+        job_id = ServiceClient(server.url).submit(_requests(1)).job_id
+        url = server.url + f"/api/v1/jobs/{job_id}/results?offset=0"
+        started = time.monotonic()
+        status, body = _http(url + "&wait=1000")
+        held = time.monotonic() - started
+        assert status == 200 and body["entries"] == []
+        assert body["state"] in ("queued", "running")
+        assert "retry_after_s" not in body
+        assert 0.15 < held < 2.0
+        # No ``wait``: answered at once, as a plain status read.
+        started = time.monotonic()
+        status, body = _http(url)
+        assert status == 200 and body["entries"] == []
+        assert time.monotonic() - started < 0.15
+
+    def test_stop_during_held_fetch_leaves_job_done(self, tmp_path):
+        backend = _GatedSerial()
+        service = SweepService(
+            cache=ResultCache(cache_dir=str(tmp_path / "cache")), backend=backend
+        )
+        srv = ServiceServer(service, port=0)
+        url = srv.start_in_background()
+        client = ServiceClient(url, retries=1)
+        job_id = client.submit(_requests(1)).job_id
+        box = {}
+
+        def fetch():
+            try:
+                box["response"] = client.fetch(job_id, 0)
+            except ServiceError as exc:
+                box["error"] = exc
+
+        fetcher = threading.Thread(target=fetch, daemon=True)
+        fetcher.start()
+        time.sleep(0.2)
+        assert fetcher.is_alive(), "the fetch was not held"
+        # stop() waits for the job; let it, from another thread.
+        stopper = threading.Thread(target=srv.stop, daemon=True)
+        stopper.start()
+        assert srv.join(timeout=10), "the front end did not stop"
+        # The held fetch is answered with what there was, not dropped.
+        fetcher.join(timeout=5)
+        assert not fetcher.is_alive()
+        assert "error" not in box, box.get("error")
+        assert box["response"].entries == ()
+        assert box["response"].state == "running"
+        # The job finishes after its front end's event loop closed: its
+        # change notifications must do nothing, not fail the job.
+        backend.gate.set()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        status = service.status(job_id)
+        assert status.state == "done", status.detail
+        assert status.detail is None
 
 
 class TestBackendRegistration:

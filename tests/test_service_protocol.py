@@ -28,6 +28,7 @@ from repro.service.protocol import (
     ProtocolError,
     SubmitRequest,
     SubmitResponse,
+    WorkerRegistered,
     WorkerRegistration,
     job_id_for,
     outcome_entry_to_dict,
@@ -214,6 +215,12 @@ class TestStatusAndFetchPayloads:
         rebuilt = FetchResponse.from_dict(_json_round_trip(fetch.to_dict()))
         assert rebuilt == fetch
 
+    def test_fetch_carries_no_retry_hint(self):
+        # Fetches are held server-side; a client has nothing to sleep on.
+        payload = FetchResponse(job_id="x", state="running").to_dict()
+        assert "retry_after_s" not in payload
+        assert payload["protocol_version"] == PROTOCOL_VERSION == 4
+
     def test_fetch_entries_must_be_list(self):
         with pytest.raises(ProtocolError):
             FetchResponse.from_dict(
@@ -250,3 +257,28 @@ class TestWorkerRegistration:
         assert WorkerRegistration.from_dict(body) == WorkerRegistration(
             name="old", pid=11, host="host-b", backend="serial"
         )
+
+
+class TestWorkerRegistered:
+    def test_round_trip(self):
+        registered = WorkerRegistered(
+            worker_id="w1",
+            lease_ttl_s=5.0,
+            heartbeat_interval_s=1.0,
+            poll_interval_s=0.5,
+        )
+        payload = _json_round_trip(registered.to_dict())
+        assert WorkerRegistered.from_dict(payload) == registered
+
+    def test_server_that_does_not_hold_leases_is_refused(self):
+        # A worker re-polls at once after an empty lease; against a v3
+        # server, which answers without holding, that would spin.
+        payload = WorkerRegistered(
+            worker_id="w1",
+            lease_ttl_s=5.0,
+            heartbeat_interval_s=1.0,
+            poll_interval_s=0.5,
+        ).to_dict()
+        payload["protocol_version"] = 3
+        with pytest.raises(ProtocolError, match="protocol version mismatch"):
+            WorkerRegistered.from_dict(payload)

@@ -691,18 +691,18 @@ class TestSurvivabilityCli:
 # ---------------------------------------------------------------------------
 
 def _paper_fills(scenarios):
-    from repro.core.fastpath import fill_transition_rates, lattice_structure
-    from repro.core.metrics import resolve_network
-    from repro.core.rates import GCSRates
+    """The rate fills ``evaluate_survivability`` solves for ``scenarios``,
+    built by the model's own point preparation."""
+    from repro.core.fastpath import lattice_structure
+    from repro.core.metrics import _prepare_point
 
     structure = lattice_structure(scenarios[0].num_nodes)
     values = np.stack(
         [
-            fill_transition_rates(
-                structure,
-                GCSRates.from_scenario(p, resolve_network(p, None)),
+            _prepare_point(
+                structure, i, p, None, include_breakdown=False, sizes=None
             ).values
-            for p in scenarios
+            for i, p in enumerate(scenarios)
         ]
     )
     return structure, values

@@ -635,6 +635,32 @@ class TestAdaptiveScheduling:
         assert driver.error is None
         assert all(o.ok for o in driver.outcomes)
 
+    def test_held_worker_stays_live_and_keeps_the_job(self):
+        """A worker whose lease request is held is live past
+        ``lost_after_s`` of silence, so the local fallback leaves the
+        job to it; once unheld, silence makes it lost again."""
+        pool = WorkerPool(
+            _fast_config(lease_ttl_s=0.2, heartbeat_interval_s=0.05)
+        )
+        registered = _register(pool)
+        with pool.holding(registered.worker_id):
+            time.sleep(0.3)  # silent for longer than lost_after_s = 0.2
+            driver = _RunThread(pool, _requests(1))
+            driver.start()
+            time.sleep(0.15)  # several reap ticks of the dispatcher
+            assert pool.live_worker_count() == 1
+            assert pool.roster()["roster"][0]["state"] == "idle"
+            assert _counter("service.chunks_local_fallback") == 0
+            chunk = pool.lease(registered.worker_id).chunk
+            assert chunk is not None
+        assert pool.report(registered.worker_id, _evaluate_report(chunk))
+        driver.join(timeout=30)
+        assert driver.error is None
+        assert all(o.ok for o in driver.outcomes)
+        time.sleep(0.3)
+        assert pool.live_worker_count() == 0
+        assert pool.roster()["roster"][0]["state"] == "lost"
+
     def test_lost_worker_recovers_on_heartbeat(self):
         """Satellite fix: a worker the reaper marked ``lost`` goes back
         to ``idle`` on its next heartbeat — not only on its next lease."""
@@ -666,9 +692,7 @@ class _WorkerThread(threading.Thread):
 
     def __init__(self, url, *, name, chaos=None, client=None):
         super().__init__(name=f"svc-{name}", daemon=True)
-        self.worker = ServiceWorker(
-            url, name=name, chaos=chaos, client=client, poll_interval=0.05
-        )
+        self.worker = ServiceWorker(url, name=name, chaos=chaos, client=client)
         self.died = None
 
     def run(self):
@@ -1049,6 +1073,65 @@ class TestServiceWorkerEndToEnd:
                 restarted.stop()
 
 
+class TestHeldLease:
+    def test_lease_held_on_idle_pool_returns_chunk_submitted_meanwhile(
+        self, tmp_path
+    ):
+        """An empty lease request is held, not answered ``chunk: null``
+        at once: a campaign submitted during the hold is leased to it."""
+        server = _boot_server(
+            tmp_path, pool_config=_fast_config(poll_interval_s=5.0)
+        )
+        try:
+            client = ServiceClient(server.url)
+            worker_id = client.register_worker(
+                name="held", pid=os.getpid()
+            ).worker_id
+            box = {}
+
+            def lease():
+                started = time.monotonic()
+                box["lease"] = client.lease_chunk(worker_id)
+                box["held_s"] = time.monotonic() - started
+
+            thread = threading.Thread(target=lease, daemon=True)
+            thread.start()
+            time.sleep(0.3)
+            assert thread.is_alive(), "the empty lease was not held"
+            submitted = client.submit(_requests(1))
+            thread.join(timeout=10)
+            chunk = box["lease"].chunk
+            assert chunk is not None
+            assert chunk.job_id == submitted.job_id
+            assert box["held_s"] < 5.0
+            assert client.report_chunk(worker_id, _evaluate_report(chunk))
+            deadline = time.monotonic() + 30
+            while client.poll(submitted.job_id).state != "done":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert _counter("service.chunks_local_fallback") == 0
+        finally:
+            server.stop()
+
+    def test_empty_lease_is_held_for_poll_interval(self, tmp_path):
+        server = _boot_server(
+            tmp_path, pool_config=_fast_config(poll_interval_s=0.3)
+        )
+        try:
+            client = ServiceClient(server.url)
+            worker_id = client.register_worker(
+                name="idle", pid=os.getpid()
+            ).worker_id
+            started = time.monotonic()
+            assert client.lease_chunk(worker_id).chunk is None
+            assert 0.25 < time.monotonic() - started < 2.0
+            with pytest.raises(ServiceError) as excinfo:
+                client.lease_chunk("nobody")
+            assert excinfo.value.status == 404
+        finally:
+            server.stop()
+
+
 class _SlowSerial(SerialBackend):
     """A serial backend with a per-chunk delay, to hold a job mid-run."""
 
@@ -1144,9 +1227,14 @@ class TestClientRestartResume:
 
 
 class _StubStuckClient:
-    """A client whose job never completes — for deadline tests."""
+    """A client whose job never completes — for deadline tests.
+
+    Each fetch comes back empty after ``HOLD_S``, as a server holding
+    the request for a job that makes no progress would answer.
+    """
 
     url = "http://stub.invalid"
+    HOLD_S = 0.05
 
     def submit(self, requests, *, name="stub"):
         return SubmitResponse(
@@ -1155,6 +1243,7 @@ class _StubStuckClient:
         )
 
     def fetch(self, job_id, offset=0):
+        time.sleep(self.HOLD_S)
         return FetchResponse(
             job_id=job_id, state="running", entries=(), next_offset=offset,
             complete=False,
@@ -1163,11 +1252,12 @@ class _StubStuckClient:
 
 class TestClientRobustness:
     def test_poll_timeout_names_job_and_progress(self):
-        backend = RemoteBackend(
-            client=_StubStuckClient(), poll_interval=0.01, poll_timeout=0.3
-        )
+        backend = RemoteBackend(client=_StubStuckClient(), poll_timeout=0.3)
+        started = time.monotonic()
         with pytest.raises(ServiceError) as excinfo:
             backend.run(evaluate_auto, _requests(2))
+        # Checked between held fetches: late by at most one hold.
+        assert time.monotonic() - started < 0.3 + 2 * _StubStuckClient.HOLD_S
         message = str(excinfo.value)
         assert "timed out after 0.3s" in message
         assert "f" * 64 in message
