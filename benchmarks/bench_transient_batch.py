@@ -38,9 +38,9 @@ from repro.engine import BatchRunner, SurvivabilitySweep, available_cpus, make_b
 from repro.voting.majority import clear_table_cache
 
 #: Mission-time grid (seconds). The lattice's full Λ is ~1e3 (fast
-#: small-group rekey states); each point cuts those unreached states and
-#: runs at Λ′ ≈ 98, so uniformization depth is Λ′·t_max ≈ 7e2 steps,
-#: shared by every time point.
+#: small-group rekey states); each point cuts the states its 5 s mission
+#: is certified not to reach and runs at Λ′ ≈ 35, so uniformization
+#: depth is Λ′·t_max ≈ 3.4e2 steps, shared by every time point.
 MISSION_TIMES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
 
 

@@ -13,6 +13,7 @@ import math
 from typing import Tuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from ..errors import ParameterError
 
@@ -61,9 +62,9 @@ def poisson_weights(lam: float, eps: float = 1e-12) -> Tuple[int, int, np.ndarra
 
     right = poisson_truncation_point(lam, eps / 2.0)
     mode = int(lam)
-    # Log-pmf over 0..right via cumulative log recurrence from the mode.
+    # Log-pmf over 0..right, all k in one vectorised log-gamma call.
     ks = np.arange(0, right + 1)
-    log_pmf = ks * math.log(lam) - lam - np.array([math.lgamma(k + 1) for k in ks])
+    log_pmf = ks * math.log(lam) - lam - gammaln(ks + 1)
     # Left truncation: drop leading mass below eps/2.
     pmf = np.exp(log_pmf - log_pmf.max())
     pmf_sum = pmf.sum()

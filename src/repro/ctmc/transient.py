@@ -13,8 +13,8 @@ One algorithm, two entry layers:
   point. Per point the batch uses its *own* uniformization rate and
   truncated Poisson weights, and no step mixes points, so a point's
   result does not depend on its batch mates. A point whose fastest
-  states are out of reach within the mission runs at a lower rate with
-  those states cut, under a finite-state-projection certificate;
+  states are out of reach within the mission runs at the lowest rate of
+  a ladder of cuts that a finite-state-projection certificate accepts;
 * :func:`transient_distribution` / :func:`absorption_cdf` — one
   :class:`~repro.ctmc.chain.CTMC`: the ``P = 1`` call of the batched
   functions on the chain's own CSR pattern.
@@ -31,6 +31,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from ..errors import ParameterError, SolverError
 from ..obs import metrics, span
@@ -56,9 +57,16 @@ __all__ = [
 #: uniformization, so backends agree with ``==``, not to this bound.
 BATCH_EQUIVALENCE_RTOL = 1e-9
 
-#: A point cuts the states whose out-rate exceeds its uniformization
-#: rate over this factor (see :func:`transient_distribution_batch`).
+#: The shallowest cut: states whose out-rate exceeds a point's
+#: uniformization rate over this factor (see
+#: :func:`transient_distribution_batch`).
 _STIFF_CUT = 10.0
+
+#: Rung ``j`` of the cut ladder cuts above ``Λ_p / (_STIFF_CUT ·
+#: _RUNG_RATIO**j)``, for ``j = _DEEPEST_RUNG … 0`` (deepest, Λ/160,
+#: first).
+_RUNG_RATIO = 2.0**0.5
+_DEEPEST_RUNG = 8
 
 #: Steps between the checks that abandon a doomed truncated sweep.
 _DOOM_CHECK_STEPS = 8
@@ -135,13 +143,7 @@ def _stacked_jump_matrix(
     are the block's, offset per point.
     """
     num_points, n = q.shape
-    deg = np.diff(indptr)
-    slot_rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-    if indices.size and np.any(indices == slot_rows):
-        raise SolverError(
-            "pattern must not contain diagonal entries (self-loops have "
-            "no meaning in a CTMC; the per-point path drops them)"
-        )
+    slot_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     diag = np.arange(n, dtype=np.int64)
     # Transposed block: off-diagonal entry (col j, row i) per slot.
     rows_all = np.concatenate([indices, diag])
@@ -220,17 +222,18 @@ def _batch_initial(
 
 def _poisson_windows(
     lam: np.ndarray, ts: np.ndarray, eps: float
-) -> list[tuple[int, int, np.ndarray]]:
+) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
     """Per-time truncated Poisson windows ``(lo, hi, (P, window) block)``.
 
     Each point's weights are padded into one ``(P, hi − lo + 1)`` block
     per time, so a step accumulates with a single vectorised multiply
-    per active time. Points of a sweep often share Λ, so each distinct
-    ``Λ_p·t`` is computed once.
+    per active time. Each distinct ``Λ_p·t`` is computed once. Also
+    returns each point's last step with a weight, ``(P,)``.
     """
     num_points = lam.size
     poisson: dict[float, tuple[int, int, np.ndarray]] = {}
     windows: list[tuple[int, int, np.ndarray]] = []
+    ends = np.zeros(num_points, dtype=np.int64)
     for t in ts:
         if t == 0.0:
             windows.append((0, 0, np.ones((num_points, 1))))
@@ -250,7 +253,21 @@ def _poisson_windows(
         for p, w in enumerate(weights):
             block[p, lefts[p] - lo : rights[p] + 1 - lo] = w
         windows.append((lo, hi, block))
-    return windows
+        np.maximum(ends, rights, out=ends)
+    return windows, ends
+
+
+def _sink_mass(v: np.ndarray, sinks: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Each point's mass on its sinks, ``(P,)``.
+
+    ``v`` holds the ``(P, m)`` masses of the full-space ``states``;
+    ``sinks`` is the ``(P, n)`` full-space mask. The sum runs over the
+    full state space, so its rounding does not depend on which states
+    a sweep carried (and thus not on a point's batch mates).
+    """
+    full = np.zeros(sinks.shape)
+    full[:, states] = v
+    return (full * sinks).sum(axis=1)
 
 
 def _uniformize(
@@ -263,26 +280,30 @@ def _uniformize(
     ts: np.ndarray,
     eps: float,
     sinks: Optional[np.ndarray] = None,
+    states: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """One shared power sequence ``v_k = π(0)P_pᵏ`` for every point.
 
-    Returns ``(dist_t, steps, doomed)``: the unnormalised Poisson
-    mixtures ``Σ_k w_k(Λ_p t) v_k`` in time-major ``(T, P, n)`` layout
-    (each per-time ``(P, n)`` slice is contiguous, so the per-step
-    weight accumulation writes unit-stride memory), the number of steps
-    run and, per point, whether its sink mass is already known to
-    exceed ``eps``. ``sinks`` is the ``(P, n)`` mask of each point's cut
-    states (sinks of the filled chain). Their mass ``s_k`` never
+    Returns ``(dist_t, steps, live)``: the unnormalised Poisson mixtures
+    ``Σ_k w_k(Λ_p t) v_k`` in time-major ``(T, len(live), n)`` layout
+    (each per-time slice is contiguous, so the per-step weight
+    accumulation writes unit-stride memory), the number of steps run
+    and the points still in the sweep at its end. ``sinks`` is the
+    ``(P, N)`` full-space mask of each point's cut states (sinks of the
+    filled chain) and ``states`` the full-space index of each of the
+    ``n`` states the pattern carries. The sink mass ``s_k`` never
     decreases with ``k``, so ``s_k · P(Pois(Λ_p t_max) ≥ k)`` is a
     lower bound on the final sink mass; a point whose bound exceeds
-    ``eps`` is doomed, and the sweep stops once every point is. The
-    rows of an abandoned sweep are partial sums.
+    ``eps`` is doomed and leaves the sweep, which stops once every point
+    has left. Without ``sinks`` every point stays.
     """
     num_points, n = pi0.shape
     num_times = ts.size
-    windows = _poisson_windows(lam, ts, eps)
-    k_max = max(hi for _, hi, _ in windows)
-    doomed = np.zeros(num_points, dtype=bool)
+    windows, ends = _poisson_windows(lam, ts, eps)
+    los = np.array([lo for lo, _, _ in windows], dtype=np.int64)
+    his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
+    k_max = int(ends.max())
+    live = np.arange(num_points)
     if sinks is not None:
         lo_last, hi_last, block_last = windows[int(np.argmax(ts))]
         # tails[p, k − lo_last] = Σ_{j ≥ k} w_j(Λ_p t_max)
@@ -290,24 +311,145 @@ def _uniformize(
 
     # Every point advances by one stacked CSR matvec per step.
     jump_t = _stacked_jump_matrix(indptr, indices, values, q, lam)
-    los = np.array([lo for lo, _, _ in windows], dtype=np.int64)
-    his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
     blocks_t = [np.ascontiguousarray(block.T) for _, _, block in windows]
     out_t = np.zeros((num_times, num_points, n))
     v = pi0
-    for k in range(k_max + 1):
+    k = 0
+    while True:
         active = np.flatnonzero((los <= k) & (k <= his))
         for ti in active:
             out_t[ti] += blocks_t[ti][k - los[ti]][:, None] * v
         if sinks is not None and k % _DOOM_CHECK_STEPS == 0 and k <= hi_last:
             tail = tails[:, max(k - lo_last, 0)]
-            doomed |= (v * sinks).sum(axis=1) * tail > eps
-            if doomed.all():
-                break
-        if k == k_max:
+            stay = _sink_mass(v, sinks, states) * tail <= eps
+            if not stay.all():
+                live, v, sinks, tails = live[stay], v[stay], sinks[stay], tails[stay]
+                out_t = out_t[:, stay]
+                if not live.size:
+                    break
+                blocks_t = [np.ascontiguousarray(b[:, stay]) for b in blocks_t]
+                jump_t = _stacked_jump_matrix(
+                    indptr, indices, values[live], q[live], lam[live]
+                )
+                k_max = int(ends[live].max())
+        if k >= k_max:
             break
-        v = (jump_t @ v.reshape(-1)).reshape(num_points, n)
-    return out_t, k + 1, doomed
+        v = (jump_t @ v.reshape(-1)).reshape(live.size, n)
+        k += 1
+    return out_t, k + 1, live
+
+
+def _cut_ladders(
+    q: np.ndarray, lam: np.ndarray, held: np.ndarray
+) -> list[dict[int, float]]:
+    """Each point's distinct cuts, as ``{j: Λ′}``.
+
+    Rung ``j`` cuts the states with out-rate above ``Λ_p / (_STIFF_CUT
+    · _RUNG_RATIO**j)`` that hold no initial mass (``held``); ``Λ′`` is
+    the largest out-rate left, and the cut set is exactly the unheld
+    states faster than ``Λ′``. Rungs with the same ``Λ′`` cut the same
+    set and are one attempt, kept under the shallowest ``j``. A rung is
+    left out unless it lowers the point's rate. Every rung keeps the
+    initial support, so none cuts below its largest out-rate: that is
+    the ladder's floor.
+    """
+    divisors = _STIFF_CUT * _RUNG_RATIO ** np.arange(_DEEPEST_RUNG + 1)
+    lam_cut = np.stack(
+        [
+            np.where((q <= limit[:, None]) | held, q, 0.0).max(axis=1)
+            for limit in (lam[:, None] / divisors).T
+        ],
+        axis=1,
+    )
+    ladders = []
+    for p in range(q.shape[0]):
+        rungs: dict[int, float] = {}
+        ceiling = lam[p]
+        for j, rate in enumerate(lam_cut[p].tolist()):
+            if rate < ceiling:
+                rungs[j] = ceiling = rate
+        ladders.append(rungs)
+    return ladders
+
+
+def _reachable_pattern(
+    indptr: np.ndarray, indices: np.ndarray, kept: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The states reachable from ``start`` through ``kept`` states.
+
+    One breadth-first search from a virtual source linked to ``start``
+    follows the out-edges of kept states only, so a state that no point
+    keeps ends its path. Returns ``(states, sub_indptr, sub_indices,
+    slots)``: the reached states in ascending order, the CSR pattern of
+    their kept rows relabelled to positions in ``states`` (a state no
+    point keeps has an empty row) and the full-pattern slot of each
+    entry. Relabelling is monotone, so every row keeps its slot order.
+    """
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    slot_rows = np.repeat(np.arange(n, dtype=np.int64), deg)
+    follow = kept[slot_rows]
+    graph_indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.where(kept, deg, 0), out=graph_indptr[1:-1])
+    graph_indptr[-1] = graph_indptr[-2] + start.size
+    graph_indices = np.concatenate([indices[follow], start])
+    graph = sp.csr_matrix(
+        (np.ones(graph_indices.size), graph_indices, graph_indptr),
+        shape=(n + 1, n + 1),
+    )
+    order = breadth_first_order(graph, n, directed=True, return_predecessors=False)
+    states = np.sort(order[1:])
+    position = np.full(n, -1, dtype=np.int64)
+    position[states] = np.arange(states.size)
+    slots = np.flatnonzero(follow & (position[slot_rows] >= 0))
+    sub_indptr = np.zeros(states.size + 1, dtype=np.int64)
+    np.cumsum(np.where(kept[states], deg[states], 0), out=sub_indptr[1:])
+    return states, sub_indptr, position[indices[slots]], slots
+
+
+def _cut_sweep(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    values: np.ndarray,
+    q: np.ndarray,
+    cuts: np.ndarray,
+    lam: np.ndarray,
+    pi0: np.ndarray,
+    ts: np.ndarray,
+    eps: float,
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """One attempt: each point's chain with its ``cuts`` made sinks.
+
+    The sweep carries only the states reachable from the initial
+    support through states some point keeps (:func:`_reachable_pattern`);
+    no point has mass anywhere else, and the terms it drops are exact
+    zeros, so each point's rows equal the same cut swept over the full
+    pattern with ``==``. Returns ``(dist_t, steps, live, states)`` as
+    :func:`_uniformize`, with ``states`` the full-space index of each
+    carried state.
+    """
+    kept = ~cuts.all(axis=0)
+    start = np.flatnonzero((pi0 > 0.0).any(axis=0))
+    states, sub_indptr, sub_indices, slots = _reachable_pattern(
+        indptr, indices, kept, start
+    )
+    sub_cuts = cuts[:, states]
+    sub_values = values[:, slots]
+    slot_rows = np.repeat(np.arange(states.size), np.diff(sub_indptr))
+    sub_values[sub_cuts[:, slot_rows]] = 0.0
+    dist_t, steps, live = _uniformize(
+        sub_indptr,
+        sub_indices,
+        sub_values,
+        np.where(sub_cuts, 0.0, q[:, states]),
+        lam,
+        pi0[:, states],
+        ts,
+        eps,
+        cuts,
+        states,
+    )
+    return dist_t, steps, live, states
 
 
 def transient_distribution_batch(
@@ -350,21 +492,32 @@ def transient_distribution_batch(
     contiguous.
 
     Stiff-state truncation: each point cuts, from its own rates only,
-    the states whose out-rate exceeds ``Λ_p / 10`` (``Λ_p = max_i
-    q_i``) and hold no initial mass. A cut state's out-rates are zeroed,
-    which makes it a sink, and the point is uniformized at the largest
-    remaining out-rate ``Λ′_p``. Until the chain first enters a cut
-    state the truncated chain and the original move alike, so the sink
-    mass at the largest time bounds the total-variation error of every
-    distribution the point reports (the finite state projection bound).
-    A point whose sink mass exceeds ``eps`` is re-solved at its full
-    ``Λ_p``, with no cut. The error of a reported distribution is thus
-    bounded by the ``eps`` of the Poisson tails plus a certified sink
-    mass of at most ``eps``.
+    states that hold no initial mass and whose out-rate exceeds a rung
+    of the ladder ``Λ_p / (10·√2^j)``, ``j = 8 … 0`` (``Λ_p = max_i
+    q_i``). A cut state's out-rates are zeroed, which makes it a sink,
+    and the point is uniformized at the largest remaining out-rate
+    ``Λ′_p``. Until the chain first enters a cut state the truncated
+    chain and the original move alike, so the sink mass at the largest
+    time bounds the total-variation error of every distribution the
+    point reports (the finite state projection bound). Each point tries
+    its distinct cuts deepest first and keeps the first whose sink mass
+    is at most ``eps``; points at the same rung share one sweep, which
+    carries only the states they can reach (:func:`_cut_sweep`). A
+    point that fails every rung is re-solved at its full ``Λ_p``, with
+    no cut. The error of a reported distribution is thus bounded by the
+    ``eps`` of the Poisson tails plus a certified sink mass of at most
+    ``eps``.
     """
     indptr, indices, n = _validate_pattern(indptr, indices)
     values = _validate_rates(values, indices.size)
     num_points = values.shape[0]
+    if indices.size and np.any(
+        indices == np.repeat(np.arange(n), np.diff(indptr))
+    ):
+        raise SolverError(
+            "pattern must not contain diagonal entries (self-loops have "
+            "no meaning in a CTMC; the per-point path drops them)"
+        )
 
     scalar = np.isscalar(times)
     ts = np.atleast_1d(np.asarray(times, dtype=float))
@@ -379,55 +532,66 @@ def transient_distribution_batch(
 
     q = csr_row_sums(indptr, values)
     lam = q.max(axis=1)
-    cut = (q > lam[:, None] / _STIFF_CUT) & (pi0 == 0.0)
-    q_cut = np.where(cut, 0.0, q)
-    lam_cut = q_cut.max(axis=1)
-    # A cut pays only where it lowers the point's uniformization rate.
-    trial = np.flatnonzero(lam_cut < lam)
+    held = pi0 > 0.0
+    ladders = _cut_ladders(q, lam, held)
     # Uniformization constants (Λ_p ≥ max q_i, strictly positive even
     # for an all-absorbing fill — matching ``CTMC.uniformization_rate``).
     lam[lam <= 0.0] = 1.0
-    lam_cut[lam_cut <= 0.0] = 1.0
 
     out = np.empty((num_points, num_times, n))
+    solved = np.zeros(num_points, dtype=bool)
+    rung: list[Optional[int]] = [None] * num_points
     cut_states = np.zeros(num_points, dtype=np.int64)
     sink_bound = np.zeros(num_points)
-    accepted = trial[:0]
-    steps = 0
+    t_last = int(np.argmax(ts))
+    steps = attempts = 0
     with span("transient_batch", points=num_points, times=num_times) as batch_span:
-        if trial.size:
-            sinks = cut[trial]
-            cut_values = values[trial]
-            cut_values[sinks[:, np.repeat(np.arange(n), np.diff(indptr))]] = 0.0
-            dist_t, ran, doomed = _uniformize(
+        # Deepest rung first; points at the same rung share one sweep.
+        for j in range(_DEEPEST_RUNG, -1, -1):
+            trying = np.array(
+                [p for p in range(num_points) if not solved[p] and j in ladders[p]],
+                dtype=np.int64,
+            )
+            if not trying.size:
+                continue
+            lam_cut = np.array([ladders[p][j] for p in trying])
+            cuts = (q[trying] > lam_cut[:, None]) & ~held[trying]
+            lam_cut[lam_cut <= 0.0] = 1.0
+            dist_t, ran, live, states = _cut_sweep(
                 indptr,
                 indices,
-                cut_values,
-                q_cut[trial],
-                lam_cut[trial],
-                pi0[trial],
+                values[trying],
+                q[trying],
+                cuts,
+                lam_cut,
+                pi0[trying],
                 ts,
                 eps,
-                sinks,
             )
             steps += ran
-            sink = (dist_t[int(np.argmax(ts))] * sinks).sum(axis=1)
-            ok = ~doomed & (sink <= eps)
-            accepted = trial[ok]
-            out[accepted] = (dist_t if ok.all() else dist_t[:, ok]).transpose(1, 0, 2)
-            del dist_t  # before the fallback sweep allocates its own
-            cut_states[accepted] = sinks[ok].sum(axis=1)
-            sink_bound[accepted] = sink[ok]
-        rest = np.setdiff1d(np.arange(num_points), accepted)
+            attempts += 1
+            sink = _sink_mass(dist_t[t_last], cuts[live], states)
+            for i in np.flatnonzero(sink <= eps):
+                p = trying[live[i]]
+                out[p] = 0.0
+                out[p][:, states] = dist_t[:, i]
+                solved[p] = True
+                rung[p] = j
+                cut_states[p] = cuts[live[i]].sum()
+                sink_bound[p] = sink[i]
+            del dist_t  # before the next sweep allocates its own
+        rest = np.flatnonzero(~solved)
         if rest.size:
             dist_t, ran, _ = _uniformize(
                 indptr, indices, values[rest], q[rest], lam[rest], pi0[rest], ts, eps
             )
             out[rest] = dist_t.transpose(1, 0, 2)
             steps += ran
-        fallbacks = trial.size - accepted.size
+        fallbacks = sum(1 for p in rest if ladders[p])
         batch_span.set(
             steps=steps,
+            attempts=attempts,
+            rung=rung,
             cut_states=cut_states.tolist(),
             sink_bound=sink_bound.tolist(),
             fallbacks=fallbacks,
@@ -439,12 +603,13 @@ def transient_distribution_batch(
     registry.counter("solver.truncation_fallbacks").add(fallbacks)
     log.info(
         "transient batch: %d points, %d truncated (max sink %.3g), "
-        "%d re-solved at full rate, %d steps",
+        "%d re-solved at full rate, %d steps (%d cut attempts)",
         num_points,
-        accepted.size,
+        int(solved.sum()),
         float(sink_bound.max()),
         fallbacks,
         steps,
+        attempts,
     )
 
     # Guard against tiny negative round-off and renormalise.

@@ -550,10 +550,12 @@ class ServiceServer:
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Block on the background server thread; True once it exited."""
-        if self._thread is None:
+        # Read once: stop() on another thread clears it after its join.
+        thread = self._thread
+        if thread is None:
             return True
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
+        thread.join(timeout)
+        return not thread.is_alive()
 
     def stop(self) -> None:
         """Stop listening and shut the job worker down."""
@@ -617,6 +619,13 @@ class ServiceServer:
         try:
             status, body = await self._handle_request(reader)
         except (asyncio.IncompleteReadError, ConnectionError):
+            writer.close()
+            return
+        except asyncio.CancelledError:
+            # Stopped mid-request: close the socket, or the client waits
+            # on it until the loop is gone. The task then ends normally:
+            # on 3.11 and 3.12 asyncio's stream callback logs a handler
+            # that ends cancelled as an error.
             writer.close()
             return
         except Exception as exc:  # noqa: BLE001 — must answer, never hang

@@ -1,5 +1,7 @@
 """Fox-Glynn style Poisson weights vs scipy oracle."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats as stats
@@ -59,6 +61,26 @@ class TestWeights:
         for lam in (3.7, 42.0, 5000.0):
             left, right, _ = poisson_weights(lam, eps=1e-6)
             assert left <= int(lam) <= right
+
+    def test_matches_the_lgamma_loop(self):
+        # The log-pmf comes from one vectorised gammaln call; the scalar
+        # math.lgamma loop it replaced is the reference.
+        def lgamma_loop(lam, eps):
+            right = poisson_truncation_point(lam, eps / 2.0)
+            ks = np.arange(0, right + 1)
+            log_pmf = (
+                ks * math.log(lam) - lam - np.array([math.lgamma(k + 1) for k in ks])
+            )
+            pmf = np.exp(log_pmf - log_pmf.max())
+            cumulative = np.cumsum(pmf) / pmf.sum()
+            left = min(int(np.flatnonzero(cumulative >= eps / 2.0)[0]), int(lam))
+            return left, right, pmf[left:] / pmf[left:].sum()
+
+        for lam in np.geomspace(0.01, 5000.0, 250):
+            left, right, w = poisson_weights(float(lam))
+            ref_left, ref_right, ref = lgamma_loop(float(lam), 1e-12)
+            assert (left, right) == (ref_left, ref_right), lam
+            np.testing.assert_allclose(w, ref, rtol=1e-10, atol=0.0)
 
     def test_invalid_args(self):
         with pytest.raises(ParameterError):

@@ -17,12 +17,15 @@ Every server here is booted in-process on an ephemeral port.
 """
 
 import json
+import logging
+import socket
 import sys
 import threading
 import time
 import types
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -265,7 +268,8 @@ class TestIdempotencyAndRecovery:
         client = ServiceClient(server.url)
         (job,) = client.jobs()
         assert job.manifest_path is not None
-        manifest = json.loads(open(job.manifest_path).read())
+        with open(job.manifest_path) as handle:
+            manifest = json.load(handle)
         assert manifest["schema_version"] == 2
         assert manifest["params_digest"] == job.job_id
         assert manifest["backend"] == "serial"
@@ -417,11 +421,14 @@ class TestHeldFetch:
         server, gate = gated
         client = ServiceClient(server.url)
         offsets = []
+        answers = []
         fetch = client.fetch
 
         def counted(job_id, offset=0):
             offsets.append(offset)
-            return fetch(job_id, offset)
+            response = fetch(job_id, offset)
+            answers.append(response)
+            return response
 
         client.fetch = counted
         box = {}
@@ -444,8 +451,15 @@ class TestHeldFetch:
         assert "error" not in box, box.get("error")
         (outcome,) = box["outcomes"]
         assert outcome.ok
-        # One held fetch carried the job from running to done.
-        assert offsets == [0]
+        # The held fetch answered with the outcome once the gate opened.
+        first, *later = answers
+        assert [e["index"] for e in first.entries] == [0]
+        # The entry can be answered before the job is marked done; then
+        # one more fetch, from where the first left off, learns that.
+        assert len(later) <= 1
+        assert offsets[1:] == [first.next_offset] * len(later)
+        assert [r.entries for r in later] == [()] * len(later)
+        assert answers[-1].complete
 
     def test_sixteen_held_fetches_and_health_are_answered(self, gated):
         server, gate = gated
@@ -568,6 +582,42 @@ class TestHeldFetch:
         status = service.status(job_id)
         assert status.state == "done", status.detail
         assert status.detail is None
+
+
+class TestServerStop:
+    def test_join_survives_stop_clearing_the_thread(self, tmp_path):
+        service = SweepService(cache=ResultCache(cache_dir=str(tmp_path / "c")))
+        srv = ServiceServer(service, port=0)
+
+        class StoppedMeanwhile:
+            """A server thread that stop(), on another thread, clears
+            while join() waits on it."""
+
+            def join(self, timeout=None):
+                srv._thread = None
+
+            def is_alive(self):
+                return False
+
+        srv._thread = StoppedMeanwhile()
+        try:
+            assert srv.join(timeout=1.0)
+        finally:
+            service.shutdown()
+
+    def test_stop_closes_a_half_sent_request(self, server, caplog):
+        split = urlsplit(server.url)
+        with socket.create_connection((split.hostname, split.port), timeout=5) as sock:
+            # The request line, but never the blank line that ends it.
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n")
+            time.sleep(0.2)
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                server.stop()
+                stopped = time.monotonic()
+                sock.settimeout(1.0)
+                assert sock.recv(1) == b""
+                assert time.monotonic() - stopped < 1.0
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestBackendRegistration:

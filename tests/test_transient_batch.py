@@ -779,6 +779,8 @@ class TestDenseExpmOracle:
                 "points": 3,
                 "times": 3,
                 "steps": counts["solver.uniformization_steps"],
+                "attempts": 2,
+                "rung": [None, None, None],
                 "cut_states": [0, 0, 0],
                 "sink_bound": [0.0, 0.0, 0.0],
                 "fallbacks": 3,
@@ -825,12 +827,13 @@ def _traced(solve):
 STIFF_STATES = tuple(range(34, 39))
 
 
-def _stiff_chain(absorbing=True, start_rate=1.0):
+def _stiff_chain(absorbing=True, start_rate=1.0, extra=()):
     """A 40-state path with five 400 Hz states far from the start.
 
     State ``i`` steps forward at 1.0 (state 0 at ``start_rate``) and
     back at 0.5; the states in :data:`STIFF_STATES` also step back at
     400. The last state is absorbing unless ``absorbing`` is false.
+    ``extra`` transitions are added as given.
     """
     n = 40
     transitions = [(0, 1, start_rate)]
@@ -839,6 +842,7 @@ def _stiff_chain(absorbing=True, start_rate=1.0):
     transitions += [(i, i - 1, 400.0) for i in STIFF_STATES]
     if not absorbing:
         transitions.append((n - 1, n - 2, 0.5))
+    transitions += list(extra)
     return CTMC.from_transitions(n, transitions)
 
 
@@ -994,3 +998,149 @@ class TestStiffTruncation:
         result = evaluate_survivability(params, times=TIMES, eps=eps)
         assert result.failure_cdf["any"] == tuple(float(x) for x in counted)
         assert result.survival == tuple(float(1.0 - x) for x in counted)
+
+
+# ---------------------------------------------------------------------------
+# The cut ladder
+# ---------------------------------------------------------------------------
+
+#: States of :func:`_tiered_fills` with a 20 Hz jump back to the start:
+#: five forward jumps from it, and thirty.
+NEAR_STATES, FAR_STATES = (5, 6, 7), (30, 31, 32)
+
+
+def _tiered_fills():
+    """Fills of :func:`_stiff_chain` plus 20 Hz resets to state 0.
+
+    Each tier's out-rate of 21.5 Hz sits between ``Λ/10`` and
+    ``Λ/(10·√2²)`` (``Λ`` = 401.5 Hz), so the ladder has two distinct
+    cuts: rung 2 (the tier and the stiff states, ``Λ′`` = 1.5 Hz) and
+    rung 0 (the stiff states, ``Λ′`` = 21.5 Hz). Returns the pattern
+    and three fills: ``"far"`` (only the far tier resets; certifies at
+    rung 2), ``"near"`` (only the near tier; rung 2 is doomed, rung 0
+    certifies) and ``"fast"`` (no resets, slow rates × 20, so its rungs
+    are 1 and 0; both fail).
+    """
+    R = _stiff_chain(extra=[(i, 0, 20.0) for i in NEAR_STATES + FAR_STATES]).rates
+    rows = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+    resets = (R.indices == 0) & (rows > 1)
+    near = resets & np.isin(rows, NEAR_STATES)
+    far = resets & np.isin(rows, FAR_STATES)
+    fills = {"far": R.data.copy(), "near": R.data.copy()}
+    fills["far"][near] = 0.0
+    fills["near"][far] = 0.0
+    fills["fast"] = _scaled_slow_rates(R, [20.0])[0]
+    fills["fast"][resets] = 0.0
+    return R, fills
+
+
+class TestCutLadder:
+    TIMES = (0.5, 2.0, 5.0)
+
+    def _solve(self, R, values):
+        return _traced(
+            lambda: transient_distribution_batch(
+                R.indptr, R.indices, values, self.TIMES, 0
+            )
+        )
+
+    def test_certifies_below_a_tenth_and_matches_dense_expm(self):
+        # Rung 2 cuts the far tier too and runs at 1.5 Hz instead of the
+        # 21.5 Hz that the Λ/10 cut leaves.
+        R, fills = _tiered_fills()
+        values = np.stack([fills["far"], fills["far"] * 0.8])
+        batch, counts, (attrs,) = self._solve(R, values)
+        assert attrs["rung"] == [2, 2]
+        assert attrs["attempts"] == 1 and attrs["fallbacks"] == 0
+        assert attrs["cut_states"] == [len(FAR_STATES) + len(STIFF_STATES)] * 2
+        assert all(0.0 < s <= 1e-12 for s in attrs["sink_bound"])
+        tenth_window = poisson_weights(21.5 * self.TIMES[-1], 1e-12)[1] + 1
+        assert counts["solver.uniformization_steps"] < tenth_window / 2
+        for p in range(2):
+            chain_p = _per_point_chain(R, values[p])
+            oracle = _expm_oracle(chain_p, self.TIMES, 0)
+            np.testing.assert_allclose(batch[p], oracle, rtol=RTOL, atol=ATOL)
+            assert np.array_equal(transient_distribution(chain_p, self.TIMES, 0), batch[p])
+
+    def test_reachable_sweep_equals_the_full_pattern(self):
+        from repro.ctmc.transient import _cut_sweep, _uniformize
+
+        ts = np.array(self.TIMES)
+
+        def both(R, values, cuts, pi0, eps=1e-12):
+            """One attempt over the reachable states and over all of them."""
+            n = R.shape[0]
+            q = csr_row_sums(R.indptr, values)
+            lam = np.where(cuts, 0.0, q).max(axis=1)
+            sub, steps, live, states = _cut_sweep(
+                R.indptr, R.indices, values, q, cuts, lam, pi0, ts, eps
+            )
+            cut_values = values.copy()
+            cut_values[cuts[:, np.repeat(np.arange(n), np.diff(R.indptr))]] = 0.0
+            ref, ref_steps, ref_live = _uniformize(
+                R.indptr, R.indices, cut_values, np.where(cuts, 0.0, q), lam,
+                pi0, ts, eps, cuts, np.arange(n),
+            )
+            assert (steps, live.tolist()) == (ref_steps, ref_live.tolist())
+            full = np.zeros_like(ref)
+            full[:, :, states] = sub
+            assert np.array_equal(full, ref)
+            return states, live
+
+        # The three tiered fills, each with its own cut: a tier cut for
+        # one point is kept by another, and the first stiff state, cut
+        # for all, ends the search as a sink. "near" is doomed at step
+        # 8, "fast" later, and "far" runs to the end.
+        R, fills = _tiered_fills()
+        values = np.stack([fills["far"], fills["near"], fills["fast"]])
+        q = csr_row_sums(R.indptr, values)
+        cuts = (q > np.array([[1.5], [1.5], [30.0]])) & (np.arange(40) > 0)
+        pi0 = np.zeros((3, 40))
+        pi0[:, 0] = 1.0
+        states, live = both(R, values, cuts, pi0)
+        assert states.tolist() == list(range(STIFF_STATES[0] + 1))
+        assert live.tolist() == [0]
+        # A random chain cut above each point's median out-rate, from a
+        # spread initial distribution.
+        random = _random_chain(np.random.default_rng(17), n=30, density=0.12).rates
+        values = np.stack([random.data * s for s in (0.01, 0.3, 3.0)])
+        q = csr_row_sums(random.indptr, values)
+        pi0 = np.zeros((3, 30))
+        pi0[:, [0, 3]] = 0.5
+        cuts = (q > np.median(q, axis=1, keepdims=True)) & (pi0 == 0.0)
+        states, live = both(random, values, cuts, pi0, eps=1e-3)
+        assert states.size < 30 and live.tolist() == [0]
+
+    def test_mixed_rungs_and_a_fallback_equal_each_point_alone(self):
+        R, fills = _tiered_fills()
+        values = np.stack([fills["far"], fills["near"], fills["fast"]])
+        batch, counts, (attrs,) = self._solve(R, values)
+        assert attrs["rung"] == [2, 0, None]
+        assert attrs["fallbacks"] == counts["solver.truncation_fallbacks"] == 1
+        # Points at the same rung share a sweep: rung 2 of "far" and
+        # "near", rung 1 of "fast", then rung 0 of "near" and "fast".
+        assert attrs["attempts"] == 3
+        for p in range(3):
+            alone = transient_distribution_batch(
+                R.indptr, R.indices, values[p : p + 1], self.TIMES, 0
+            )[0]
+            assert np.array_equal(batch[p], alone)
+            oracle = _expm_oracle(_per_point_chain(R, values[p]), self.TIMES, 0)
+            np.testing.assert_allclose(batch[p], oracle, rtol=RTOL, atol=ATOL)
+
+    def test_one_attempt_per_distinct_cut(self):
+        from repro.ctmc.transient import _cut_ladders
+
+        R, fills = _tiered_fills()
+        values = fills["near"][None, :]
+        q = csr_row_sums(R.indptr, values)
+        held = np.zeros_like(q, dtype=bool)
+        held[:, 0] = True
+        # Rungs 2–8 cut one set, rungs 0–1 another.
+        assert _cut_ladders(q, q.max(axis=1), held) == [{2: 1.5, 0: 21.5}]
+        _, counts, (attrs,) = self._solve(R, values)
+        assert attrs["rung"] == [0] and attrs["attempts"] == 2
+        # The stiff chain cuts the same five states at every rung.
+        stiff = _stiff_chain().rates
+        _, _, (attrs,) = self._solve(stiff, stiff.data[None, :])
+        assert attrs["rung"] == [0] and attrs["attempts"] == 1
