@@ -17,8 +17,11 @@ and time-bounded cost. Their time ratio is the gain from stacking
 points into one sweep; it is reported, not gated.
 
 The report is also emitted as machine-readable JSON (``--json PATH`` or
-``REPRO_BENCH_JSON=PATH``) with points/s and speedup, which CI uploads
-as an artifact so the trend is diffable across commits.
+``REPRO_BENCH_JSON=PATH``) with points/s, speedup and the vector leg's
+``uniformization_steps`` (its ``solver.uniformization_steps`` count),
+which CI uploads as an artifact so the trend is diffable across
+commits. The step count is deterministic: a change that deepens the
+sweep moves it on any runner, whatever the timings do.
 
 Runs under pytest-benchmark like the other ``bench_*`` files and as a
 standalone script
@@ -35,12 +38,14 @@ from pathlib import Path
 
 from repro.core.fastpath import clear_structure_cache
 from repro.engine import BatchRunner, SurvivabilitySweep, available_cpus, make_backend
+from repro.obs import metrics
 from repro.voting.majority import clear_table_cache
 
 #: Mission-time grid (seconds). The lattice's full Λ is ~1e3 (fast
 #: small-group rekey states); each point cuts the states its 5 s mission
-#: is certified not to reach and runs at Λ′ ≈ 35, so uniformization
-#: depth is Λ′·t_max ≈ 3.4e2 steps, shared by every time point.
+#: is certified not to reach and runs at Λ′ ≈ 35, so Λ′·t_max ≈ 173 and
+#: the certified Poisson window ends near step 275, shared by every
+#: time point (293 steps in all with the two doomed cut attempts).
 MISSION_TIMES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
 
 
@@ -93,9 +98,12 @@ def _run_all():
 
     _cold_caches()
     vector = BatchRunner(backend=make_backend("vector"))
+    steps = metrics().counter("solver.uniformization_steps")
+    steps_before = steps.value
     t1 = time.perf_counter()
     outcome_vector = campaign.run(vector)
     vector_s = time.perf_counter() - t1
+    uniformization_steps = int(steps.value - steps_before)
 
     n_unique = outcome_vector.report.n_unique
     return {
@@ -108,6 +116,7 @@ def _run_all():
         "speedup": serial_s / vector_s,
         "points_per_s_serial": n_unique / serial_s,
         "points_per_s_vector": n_unique / vector_s,
+        "uniformization_steps": uniformization_steps,
         "cpus": available_cpus(),
         "outcome_serial": outcome_serial,
         "outcome_vector": outcome_vector,
@@ -144,6 +153,7 @@ def _json_report(r) -> dict:
             "speedup",
             "points_per_s_serial",
             "points_per_s_vector",
+            "uniformization_steps",
             "cpus",
         )
     }
@@ -190,6 +200,7 @@ def main(argv=None) -> None:
         f"{'vector':18s} {r['vector_s']:8.2f}s  "
         f"{r['points_per_s_vector']:7.2f} pts/s  {r['speedup']:5.2f}x"
     )
+    print(f"vector uniformization steps: {r['uniformization_steps']}")
     print(f"batch report: {r['outcome_vector'].report.describe()}")
     print("serial == vector on every curve: yes (asserted)")
     _write_json(r, args.json)

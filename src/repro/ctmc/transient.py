@@ -257,17 +257,19 @@ def _poisson_windows(
     return windows, ends
 
 
-def _sink_mass(v: np.ndarray, sinks: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _sink_mass(
+    v: np.ndarray, sinks_c: np.ndarray, states: np.ndarray, full: np.ndarray
+) -> np.ndarray:
     """Each point's mass on its sinks, ``(P,)``.
 
-    ``v`` holds the ``(P, m)`` masses of the full-space ``states``;
-    ``sinks`` is the ``(P, n)`` full-space mask. The sum runs over the
-    full state space, so its rounding does not depend on which states
-    a sweep carried (and thus not on a point's batch mates).
+    ``v`` holds the ``(P, m)`` masses of the full-space ``states`` and
+    ``sinks_c`` their ``(P, m)`` sink mask; ``full`` is a ``(P, n)``
+    full-space buffer that is zero outside ``states``. The sum runs
+    over the full state space, so its rounding does not depend on which
+    states a sweep carried (and thus not on a point's batch mates).
     """
-    full = np.zeros(sinks.shape)
-    full[:, states] = v
-    return (full * sinks).sum(axis=1)
+    full[:, states] = v * sinks_c
+    return full.sum(axis=1)
 
 
 def _uniformize(
@@ -304,15 +306,18 @@ def _uniformize(
     his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
     k_max = int(ends.max())
     live = np.arange(num_points)
-    if sinks is not None:
-        lo_last, hi_last, block_last = windows[int(np.argmax(ts))]
-        # tails[p, k − lo_last] = Σ_{j ≥ k} w_j(Λ_p t_max)
-        tails = np.cumsum(block_last[:, ::-1], axis=1)[:, ::-1]
 
     # Every point advances by one stacked CSR matvec per step.
     jump_t = _stacked_jump_matrix(indptr, indices, values, q, lam)
     blocks_t = [np.ascontiguousarray(block.T) for _, _, block in windows]
     out_t = np.zeros((num_times, num_points, n))
+    if sinks is not None:
+        lo_last, hi_last, block_last = windows[int(np.argmax(ts))]
+        # tails[p, k − lo_last] = Σ_{j ≥ k} w_j(Λ_p t_max)
+        tails = np.cumsum(block_last[:, ::-1], axis=1)[:, ::-1]
+        # The doom checks' buffers, made after the jump matrix: its
+        # assembly's temporaries set the sweep's peak memory.
+        sinks_c, full = sinks[:, states], np.zeros(sinks.shape)
     v = pi0
     k = 0
     while True:
@@ -321,9 +326,10 @@ def _uniformize(
             out_t[ti] += blocks_t[ti][k - los[ti]][:, None] * v
         if sinks is not None and k % _DOOM_CHECK_STEPS == 0 and k <= hi_last:
             tail = tails[:, max(k - lo_last, 0)]
-            stay = _sink_mass(v, sinks, states) * tail <= eps
+            stay = _sink_mass(v, sinks_c, states, full) * tail <= eps
             if not stay.all():
-                live, v, sinks, tails = live[stay], v[stay], sinks[stay], tails[stay]
+                live, v, tails = live[stay], v[stay], tails[stay]
+                sinks_c, full = sinks_c[stay], full[stay]
                 out_t = out_t[:, stay]
                 if not live.size:
                     break
@@ -570,14 +576,17 @@ def transient_distribution_batch(
             )
             steps += ran
             attempts += 1
-            sink = _sink_mass(dist_t[t_last], cuts[live], states)
+            live_cuts = cuts[live]
+            sink = _sink_mass(
+                dist_t[t_last], live_cuts[:, states], states, np.zeros(live_cuts.shape)
+            )
             for i in np.flatnonzero(sink <= eps):
                 p = trying[live[i]]
                 out[p] = 0.0
                 out[p][:, states] = dist_t[:, i]
                 solved[p] = True
                 rung[p] = j
-                cut_states[p] = cuts[live[i]].sum()
+                cut_states[p] = live_cuts[i].sum()
                 sink_bound[p] = sink[i]
             del dist_t  # before the next sweep allocates its own
         rest = np.flatnonzero(~solved)

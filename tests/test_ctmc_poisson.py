@@ -64,23 +64,63 @@ class TestWeights:
 
     def test_matches_the_lgamma_loop(self):
         # The log-pmf comes from one vectorised gammaln call; the scalar
-        # math.lgamma loop it replaced is the reference.
+        # math.lgamma loop it replaced is the reference, with the right
+        # end walked down from the scan's end one term at a time.
         def lgamma_loop(lam, eps):
-            right = poisson_truncation_point(lam, eps / 2.0)
-            ks = np.arange(0, right + 1)
+            scan_end = poisson_truncation_point(lam, eps / 2.0)
+            ks = np.arange(0, scan_end + 1)
             log_pmf = (
                 ks * math.log(lam) - lam - np.array([math.lgamma(k + 1) for k in ks])
             )
             pmf = np.exp(log_pmf - log_pmf.max())
-            cumulative = np.cumsum(pmf) / pmf.sum()
+            total = pmf.sum()
+            cumulative = np.cumsum(pmf) / total
             left = min(int(np.flatnonzero(cumulative >= eps / 2.0)[0]), int(lam))
-            return left, right, pmf[left:] / pmf[left:].sum()
+            log_beyond = (
+                (scan_end + 1) * math.log(lam) - lam - math.lgamma(scan_end + 2)
+            )
+            dropped = math.exp(log_beyond) / (1.0 - lam / (scan_end + 2))
+            right = scan_end
+            while right > int(lam) and dropped + pmf[right] / total <= eps / 2.0:
+                dropped += pmf[right] / total
+                right -= 1
+            w = pmf[left : right + 1]
+            return left, right, w / w.sum()
 
         for lam in np.geomspace(0.01, 5000.0, 250):
             left, right, w = poisson_weights(float(lam))
             ref_left, ref_right, ref = lgamma_loop(float(lam), 1e-12)
             assert (left, right) == (ref_left, ref_right), lam
             np.testing.assert_allclose(w, ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12])
+    def test_right_is_the_smallest_certified_point(self, eps):
+        # scipy's exact tails are the oracle. The certified right drop,
+        # the exact mass up to the scan's end plus the geometric bound
+        # beyond it, is at most eps/2, and one step less it would exceed
+        # eps/2 (in a few cases only the bound keeps the exact tail at
+        # right − 1 from passing). `left` keeps its rule: the first k
+        # whose cdf reaches eps/2, or the mode if that is less.
+        for lam in np.geomspace(1e-2, 1e5, 400):
+            lam = float(lam)
+            left, right, w = poisson_weights(lam, eps)
+            mode = int(lam)
+            assert left <= mode <= right and w.shape == (right - left + 1,)
+            scan_end = poisson_truncation_point(lam, eps / 2.0)
+            ratio = 1.0 - lam / (scan_end + 2)
+            beyond_bound = stats.poisson.pmf(scan_end + 1, lam) / ratio
+            beyond_exact = stats.poisson.sf(scan_end, lam)
+
+            def certified_drop(k):
+                return stats.poisson.sf(k, lam) - beyond_exact + beyond_bound
+
+            drop = certified_drop(right)
+            assert stats.poisson.sf(right, lam) <= drop <= eps / 2.0, lam
+            if right > mode:
+                assert certified_drop(right - 1) > eps / 2.0, lam
+            cdf = stats.poisson.cdf(np.arange(mode + 1), lam)
+            reached = np.flatnonzero(cdf >= eps / 2.0)
+            assert left == (int(reached[0]) if reached.size else mode), lam
 
     def test_invalid_args(self):
         with pytest.raises(ParameterError):
@@ -96,6 +136,6 @@ def test_property_mass_and_support(lam):
     assert 0 <= left <= right
     assert w.shape == (right - left + 1,)
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
-    # Dropped mass on each side is small.
-    assert stats.poisson.cdf(left - 1, lam) <= 1e-6
-    assert stats.poisson.sf(right, lam) <= 1e-6
+    # Dropped mass on each side is at most eps/2.
+    assert stats.poisson.cdf(left - 1, lam) <= 0.5e-12
+    assert stats.poisson.sf(right, lam) <= 0.5e-12
