@@ -21,10 +21,15 @@ and asserts
   the batched win is algorithmic, so it must hold even on one core.
 
 The report is also emitted as machine-readable JSON (``--json PATH`` or
-``REPRO_BENCH_JSON=PATH``) with points/s, the speedup, and the batched
+``REPRO_BENCH_JSON=PATH``) with points/s, the speedup, the batched
 leg's per-phase wall-clock breakdown (``phases.evaluate`` is the
-solver's share), which CI uploads as an artifact and folds into the
-``BENCH_<sha>.json`` trajectory (``benchmarks/bench_report.py``).
+solver's share) and its ``dag_level_sweeps`` (its
+``solver.dag_level_sweeps`` count), which CI uploads as an artifact and
+folds into the ``BENCH_<sha>.json`` trajectory
+(``benchmarks/bench_report.py``). The sweep count is deterministic: it
+is the level count times the number of chunks (299 for the ``--full``
+campaign in one chunk), so a change that splits a campaign into more
+chunks moves it on any runner, whatever the timings do.
 
 Runs under pytest-benchmark like the other ``bench_*`` files and as a
 standalone script
@@ -42,6 +47,7 @@ from pathlib import Path
 from repro.core.fastpath import clear_structure_cache
 from repro.engine import BatchRunner, available_cpus, make_backend
 from repro.engine.jobs import paper_campaign
+from repro.obs import metrics
 from repro.voting.majority import clear_table_cache
 
 
@@ -69,12 +75,15 @@ def _campaign_values(outcome):
 
 
 def _timed_vector_run(campaign):
-    """One cold vector-backend campaign run."""
+    """One cold vector-backend campaign run and its level-sweep count."""
     _cold_caches()
     runner = BatchRunner(backend=make_backend("vector"))
+    sweeps = metrics().counter("solver.dag_level_sweeps")
+    sweeps_before = sweeps.value
     t0 = time.perf_counter()
     outcome = campaign.run(runner)
-    return outcome, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    return outcome, elapsed, int(sweeps.value - sweeps_before)
 
 
 def _run_all(*, full: bool = False, include_serial: bool | None = None):
@@ -93,7 +102,7 @@ def _run_all(*, full: bool = False, include_serial: bool | None = None):
         outcome_serial = campaign.run(serial)
         serial_s = time.perf_counter() - t0
 
-    outcome_vector, vector_s = _timed_vector_run(campaign)
+    outcome_vector, vector_s, dag_level_sweeps = _timed_vector_run(campaign)
 
     n_unique = outcome_vector.report.n_unique
     return {
@@ -109,6 +118,7 @@ def _run_all(*, full: bool = False, include_serial: bool | None = None):
         ),
         "points_per_s_vector": n_unique / vector_s,
         "phases": dict(outcome_vector.report.phase_seconds),
+        "dag_level_sweeps": dag_level_sweeps,
         "cpus": available_cpus(),
         "outcome_serial": outcome_serial,
         "outcome_vector": outcome_vector,
@@ -154,6 +164,7 @@ def _json_report(r) -> dict:
             "points_per_s_serial",
             "points_per_s_vector",
             "phases",
+            "dag_level_sweeps",
             "cpus",
         )
     }
@@ -206,6 +217,7 @@ def main(argv=None) -> None:
     speedup = f"{r['speedup']:5.2f}x vs serial" if r["speedup"] else ""
     print(f"{'batched':20s} {r['vector_s']:8.2f}s  "
           f"{r['points_per_s_vector']:7.1f} pts/s  {speedup}")
+    print(f"vector level sweeps: {r['dag_level_sweeps']}")
     print(f"batch report: {report.describe()}")
     if r["serial_s"] is not None:
         print("bit-identical: yes (asserted)")

@@ -30,11 +30,13 @@ rate-free quantity:
   ``fa`` depend on ``(t, u)`` alone and ``rk`` on ``t + u + d`` alone.
   The fill evaluates the five formulas on those small index spaces
   (5,151 pairs and 101 member counts at ``N = 100``, against 176,851
-  states), concatenates them into one source vector and fills the CSR
-  values with a single gather through the structure's ``rate_gather``.
-* :func:`lattice_state_costs` — the cost reward ``c(t, u, d)`` the
+  states) into one source vector; a single gather through the
+  structure's ``rate_gather`` turns it into CSR values. The batched
+  sweep gathers a whole chunk's sources at once (``slot_source``).
+* :func:`lattice_pair_costs` — the cost reward ``c(t, u, d)`` the
   same way: :meth:`~repro.costs.aggregate.GCSCostModel.cost_vector` on
-  the distinct pairs, gathered back to states by ``pair_of_state``.
+  the distinct pairs; :func:`lattice_state_costs` gathers it back to
+  states by ``pair_of_state``, the batched sweep by ``solve_pair``.
 
 Both collapses are bit-identical to evaluating every state, because
 each state's value comes from the same element-wise IEEE operations.
@@ -77,6 +79,7 @@ __all__ = [
     "lattice_structure",
     "clear_structure_cache",
     "fill_transition_rates",
+    "lattice_pair_costs",
     "lattice_state_costs",
     "build_lattice_chain",
 ]
@@ -162,8 +165,19 @@ class LatticeStructure:
     #: Per CSR slot, its position in the concatenated per-kind source
     #: vector of :func:`fill_transition_rates`: one block of pairs for
     #: each of ``cp``/``drq``/``ids``/``fa``, then ``rk`` indexed by
-    #: ``t + u + d`` in ``0..N``.
+    #: ``t + u + d`` in ``0..N``, then one ``0.0``.
     rate_gather: np.ndarray
+    #: ``rate_gather`` (a view of its first ``nnz`` entries) followed by
+    #: the index of the source's trailing ``0.0``: gathering a chunk's
+    #: ``(S + 1, P)`` source matrix by it gives the batched sweep's
+    #: slot-major ``(nnz + 1, P)`` rates, zero sentinel row included.
+    slot_source: np.ndarray
+    #: The source entries ``rate_gather`` reads (sorted): the ones a
+    #: fill checks.
+    rate_sources: np.ndarray
+    #: Pair of each solve-space state; the C1 state reads the ``0.0``
+    #: a pair-level reward carries at index ``pair_t.size``.
+    solve_pair: np.ndarray
 
     @property
     def n_lattice(self) -> int:
@@ -221,14 +235,20 @@ def _absorbing_class_map(
 class TransitionRateFill:
     """One scenario's transition rates scattered into the shared pattern.
 
-    ``values[k]`` is the rate of the ``k``-th slot of the structure's
-    CSR pattern; guard-enabled transitions whose formula evaluates to
-    zero keep an explicit ``0.0`` (the batched solver tolerates them
-    exactly; the per-point :class:`~repro.ctmc.chain.CTMC` prunes them).
+    ``source`` is the per-kind source vector the structure's gather
+    plans index (``rate_gather``, ``slot_source``). ``values[k]`` is
+    the rate of the ``k``-th slot of the structure's CSR pattern;
+    guard-enabled transitions whose formula evaluates to zero keep an
+    explicit ``0.0`` (the batched solver tolerates them exactly; the
+    per-point :class:`~repro.ctmc.chain.CTMC` prunes them).
     """
 
     structure: LatticeStructure
-    values: np.ndarray
+    source: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.source[self.structure.rate_gather]
 
 
 def _build_structure(n: int) -> LatticeStructure:
@@ -296,7 +316,12 @@ def _build_structure(n: int) -> LatticeStructure:
         k * pair_t.size + (members if kind == "rk" else pair_of_state)[src[kind]]
         for k, kind in enumerate(_KINDS)
     ]
-    rate_gather = np.concatenate(edge_source)[order]
+    source_size = 4 * pair_t.size + n + 2  # the last entry is the 0.0
+    slot_source = np.append(np.concatenate(edge_source)[order], source_size - 1)
+    rate_gather = slot_source[:-1]
+    read = np.zeros(source_size, dtype=bool)
+    read[rate_gather] = True
+    rate_sources = np.flatnonzero(read)
 
     # ---- solve space: the states reachable from the initial marking ---
     initial_state = int(state_id[n, 0, 0])
@@ -316,6 +341,7 @@ def _build_structure(n: int) -> LatticeStructure:
         np.concatenate([[0], indptr[solve_states + 1]]), solve_of_state[indices]
     )
 
+    solve_pair = np.append(pair_of_state, pair_t.size)[solve_states]
     depletion = np.flatnonzero((t_all == 0) & (u_all == 0) & (d_all == 0))
     c2_states = np.flatnonzero(failed_c2)
 
@@ -336,10 +362,12 @@ def _build_structure(n: int) -> LatticeStructure:
         pair_u,
         pair_of_state,
         rate_gather,
+        slot_source,
+        rate_sources,
+        solve_pair,
         solve_states,
         dag.indptr,
         dag.indices,
-        dag.slot_rows,
         dag.lvl_row_bounds,
         dag.lvl_ell_slots,
         dag.lvl_ell_cols,
@@ -366,6 +394,9 @@ def _build_structure(n: int) -> LatticeStructure:
         pair_u=pair_u,
         pair_of_state=pair_of_state,
         rate_gather=rate_gather,
+        slot_source=slot_source,
+        rate_sources=rate_sources,
+        solve_pair=solve_pair,
     )
 
 
@@ -374,6 +405,12 @@ def _build_structure(n: int) -> LatticeStructure:
 _STRUCTURE_CACHE: OrderedDict[int, LatticeStructure] = OrderedDict()
 _STRUCTURE_CACHE_CAP = 4
 _STRUCTURE_LOCK = threading.Lock()
+#: LRU memo of the rekey ``Tcm`` lookup, keyed by what
+#: :meth:`~repro.groupkey.rekey.RekeyCostModel.tcm_s` reads: the channel
+#: bandwidth, the element size and ``N``. Every point of a sweep that
+#: varies neither shares one read-only table.
+_TCM_TABLES: OrderedDict[tuple[float, int, int], np.ndarray] = OrderedDict()
+_TCM_TABLES_CAP = 64
 
 
 def lattice_structure(num_nodes: int) -> LatticeStructure:
@@ -409,9 +446,27 @@ def lattice_structure(num_nodes: int) -> LatticeStructure:
 
 
 def clear_structure_cache() -> None:
-    """Drop every cached :class:`LatticeStructure` (tests, memory)."""
+    """Drop every cached :class:`LatticeStructure` and ``Tcm`` table."""
     with _STRUCTURE_LOCK:
         _STRUCTURE_CACHE.clear()
+        _TCM_TABLES.clear()
+
+
+def _tcm_table(rekey, n: int) -> np.ndarray:
+    """``rekey.tcm_s(max(k, 2))`` for ``k`` in ``0..n + 1``, memoised."""
+    key = (rekey.network.params.bandwidth_bps, rekey.element_bits, n)
+    with _STRUCTURE_LOCK:
+        table = _TCM_TABLES.get(key)
+        if table is not None:
+            _TCM_TABLES.move_to_end(key)
+            return table
+    table = np.array([rekey.tcm_s(max(k, 2)) for k in range(n + 2)])
+    table.setflags(write=False)
+    with _STRUCTURE_LOCK:
+        _TCM_TABLES[key] = table
+        while len(_TCM_TABLES) > _TCM_TABLES_CAP:
+            _TCM_TABLES.popitem(last=False)
+    return table
 
 
 def fill_transition_rates(
@@ -422,7 +477,10 @@ def fill_transition_rates(
     The formulas are the historical ``build_lattice_chain`` arithmetic
     verbatim (bit-identical values; the per-point/batched equality tests
     depend on that), evaluated once per ``(t, u)`` pair (``rk`` once per
-    member count ``t + u + d``) and gathered into the CSR slots.
+    member count ``t + u + d``) into the fill's source vector. Only the
+    entries some CSR slot reads are checked, so a fill is rejected
+    exactly when its CSR values would hold a NaN, infinite or negative
+    rate.
     """
     t_fill = time.perf_counter()
     n = structure.num_nodes
@@ -456,7 +514,7 @@ def fill_transition_rates(
     pfp = pfp_table[tg_fa, ug]
 
     # Rekey rate via a precomputed Tcm lookup, per member count t+u+d.
-    tcm = np.array([rates.rekey.tcm_s(max(k, 2)) for k in range(n + 2)])
+    tcm = _tcm_table(rates.rekey, n)
     members = np.clip(np.rint(np.arange(n + 1) * scale).astype(np.int64), 0, n + 1)
     rk_rate = 1.0 / tcm[members]
 
@@ -466,7 +524,8 @@ def fill_transition_rates(
         * u
     )
 
-    # Source blocks in _KINDS order, as rate_gather indexes them.
+    # Source blocks in _KINDS order, as rate_gather indexes them, and
+    # the 0.0 that slot_source reads for the sweep's pads.
     source = np.concatenate(
         [
             a_rate,
@@ -474,19 +533,35 @@ def fill_transition_rates(
             u * d_rate * (1.0 - pfn),
             t * d_rate * pfp,
             rk_rate,
+            [0.0],
         ]
     )
-    values = source[structure.rate_gather]
 
-    if not np.all(np.isfinite(values)):
+    used = source[structure.rate_sources]
+    if not np.all(np.isfinite(used)):
         raise ModelError("transition rates must be finite")
-    if values.size and float(values.min()) < 0.0:
+    if used.size and float(used.min()) < 0.0:
         raise ModelError("transition rates must be non-negative")
     metrics().counter("fastpath.rate_fills").add()
     metrics().histogram("fastpath.rate_fill_s").observe(
         time.perf_counter() - t_fill
     )
-    return TransitionRateFill(structure=structure, values=values)
+    return TransitionRateFill(structure=structure, source=source)
+
+
+def lattice_pair_costs(
+    structure: LatticeStructure,
+    cost_model: GCSCostModel,
+    *,
+    per_component: bool = False,
+) -> "np.ndarray | dict[str, np.ndarray]":
+    """``cost_model.cost_vector`` on the structure's distinct ``(t, u)`` pairs.
+
+    Every cost term depends on ``(t, u)`` alone. With
+    ``per_component=True`` returns one array per component.
+    """
+    t, u = structure.pair_t, structure.pair_u
+    return cost_model.cost_vector(t, u, np.zeros_like(t), per_component=per_component)
 
 
 def lattice_state_costs(
@@ -497,14 +572,12 @@ def lattice_state_costs(
 ) -> "np.ndarray | dict[str, np.ndarray]":
     """``cost_model.cost_vector`` over every lattice state (C1 excluded).
 
-    Every cost term depends on ``(t, u)`` alone, so the cost model runs
-    on the structure's distinct pairs and the result is gathered back to
-    states by ``pair_of_state`` — bit-identical to
-    ``cost_vector(structure.t, structure.u, structure.d)``. With
-    ``per_component=True`` returns one array per component.
+    :func:`lattice_pair_costs` gathered back to states by
+    ``pair_of_state`` — bit-identical to ``cost_vector(structure.t,
+    structure.u, structure.d)``. With ``per_component=True`` returns one
+    array per component.
     """
-    t, u = structure.pair_t, structure.pair_u
-    costs = cost_model.cost_vector(t, u, np.zeros_like(t), per_component=per_component)
+    costs = lattice_pair_costs(structure, cost_model, per_component=per_component)
     if per_component:
         return {name: vec[structure.pair_of_state] for name, vec in costs.items()}
     return costs[structure.pair_of_state]

@@ -14,10 +14,12 @@ whole *sweep* at once. The paper's artifacts are sweeps whose grid
 points share the lattice topology and differ only in rates, so the
 batch path reuses one cached :class:`~repro.core.fastpath.LatticeStructure`
 per group size and runs a single multi-point level-scheduled backward
-sweep (:func:`repro.ctmc.acyclic.solve_dag_batch`) over stacked
-``(P, nnz)`` rate arrays into a state-major ``(n, P, k)`` solution —
-bit-identical per-point results, one shared pass instead of ``P``
-rebuilds. The batched solvers run in the
+sweep (:func:`repro.ctmc.acyclic.solve_dag_batch`). Each point brings
+only its small rate-source and pair-cost vectors; one gather per chunk
+lays them out point-innermost, as the sweep's slot-major ``(nnz + 1,
+P)`` rates and ``(n, P)`` reward numerators, and the sweep returns an
+``(n, k, P)`` solution — bit-identical per-point results, one shared
+pass instead of ``P`` rebuilds. The batched solvers run in the
 structure's *solve space*, the states reachable from the initial
 marking; :func:`evaluate` keeps the full lattice and is their oracle.
 
@@ -55,8 +57,10 @@ from ..spn.analysis import analyze_spn
 from ..validation import require_sorted_unique
 from .failure import FailureClass
 from .fastpath import (
+    TransitionRateFill,
     build_lattice_chain,
     fill_transition_rates,
+    lattice_pair_costs,
     lattice_state_costs,
     lattice_structure,
 )
@@ -429,15 +433,16 @@ def _as_pair(
 class _PreparedPoint:
     """One grid point's rate fill + rewards, ready for the shared sweep.
 
-    ``values`` is the fill on the full CSR pattern (which the solve
-    space keeps slot for slot); ``reward_columns`` are already gathered
-    onto ``structure.solve_states``.
+    Both are small: ``fill`` holds the rate-source vector, and each of
+    ``rewards`` is a reward per ``(t, u)`` pair plus a trailing ``0.0``
+    for the C1 state (it accrues nothing), which ``structure.solve_pair``
+    gathers onto the solve space.
     """
 
     index: int
     params: GCSParameters
-    values: np.ndarray
-    reward_columns: list[np.ndarray]
+    fill: TransitionRateFill
+    rewards: list[np.ndarray]
     breakdown_names: Optional[list[str]]
     cost_model: GCSCostModel
     build_seconds: float
@@ -466,54 +471,63 @@ def _prepare_point(
         cost_model = GCSCostModel(
             params, net, sizes=sizes, ng_distribution=bd.level_distribution()
         )
-        costs = lattice_state_costs(
+        costs = lattice_pair_costs(
             structure, cost_model, per_component=include_breakdown
         )
-        # Reward columns exactly as the per-point path assembles them,
-        # restricted to the solve space: the C1 state accrues nothing,
-        # and with a breakdown the total is its own solved column (not
-        # the sum of the component solutions).
-        solve_states = structure.solve_states
-        reward_columns: list[np.ndarray] = []
+        # Reward columns as the per-point path assembles them, per pair:
+        # the C1 state accrues nothing, and with a breakdown the total
+        # is its own solved column (not the sum of the component
+        # solutions), summed per pair in the per-state order.
+        rewards: list[np.ndarray] = []
         breakdown_names: Optional[list[str]] = None
         if include_breakdown:
             breakdown_names = list(costs)
-            total = np.zeros(solve_states.size)
+            total = np.zeros(structure.pair_t.size + 1)
             for vec in costs.values():
-                column = np.append(vec, 0.0)[solve_states]
-                reward_columns.append(column)
+                column = np.append(vec, 0.0)
+                rewards.append(column)
                 total += column
-            reward_columns.append(total)
+            rewards.append(total)
         else:
-            reward_columns.append(np.append(costs, 0.0)[solve_states])
+            rewards.append(np.append(costs, 0.0))
     with span("prepare.rates"):
         rates = GCSRates.from_scenario(params, net, expected_groups=bd.mean_level())
         fill = fill_transition_rates(structure, rates)
     return _PreparedPoint(
         index=index,
         params=params,
-        values=fill.values,
-        reward_columns=reward_columns,
+        fill=fill,
+        rewards=rewards,
         breakdown_names=breakdown_names,
         cost_model=cost_model,
         build_seconds=time.perf_counter() - t0,
     )
 
 
-def _chunk_size(structure, n_columns: int, max_batch_bytes: int) -> int:
+def _chunk_size(
+    structure, n_rewards: int, include_variance: bool, max_batch_bytes: int
+) -> int:
     """Points per chunk under the working-set byte budget.
 
-    Bounds the whole pipeline, not just the sweep: points are prepared
-    (rate fill + reward columns), solved and packaged chunk by chunk.
-    Everything but the rate fill is sized by the solve space
-    (``structure.dag``), not the full lattice.
+    Bounds the whole pipeline, not just the sweep: points are prepared,
+    solved and packaged chunk by chunk. Per point, at 8 bytes a float:
+    the sweep's slot-major rates (``nnz + 1``), and on the solve space
+    (``n`` states) the solution ``x`` (``1 + n_rewards + 3`` columns),
+    the reward numerators (``n_rewards`` columns) and, with the
+    variance, its numerator and solution (one column each). A prepared
+    point's own vectors and a level's scratch are per pair or per
+    level, small against these.
     """
     dag = structure.dag
-    # values and the sweep's slot-major copy of them (~nnz each),
-    # numerators and x (~n·k each), the k − 4 reward columns and the
-    # second-moment scratch (~n·k together); 8 bytes per float.
-    per_point = 8 * (2 * dag.nnz + dag.num_states * 3 * n_columns)
-    return max(1, max_batch_bytes // max(per_point, 1))
+    columns = (1 + n_rewards + 3) + n_rewards + (2 if include_variance else 0)
+    per_point = 8 * (dag.nnz + 1 + dag.num_states * columns)
+    return max(1, max_batch_bytes // per_point)
+
+
+def _gather_points(vectors: Sequence[np.ndarray], plan: np.ndarray) -> np.ndarray:
+    """``(plan.size, P)``: column ``j`` is ``vectors[j][plan]``."""
+    stacked = np.ascontiguousarray(np.array(vectors).T)
+    return np.take(stacked, plan, axis=0)
 
 
 def _solve_prepared(
@@ -525,23 +539,32 @@ def _solve_prepared(
     """Run the shared backward sweep for one chunk of prepared points.
 
     The sweep runs in the structure's solve space: numerator and
-    boundary rows exist only for ``structure.solve_states``. ``x`` is
-    state-major ``(n, P, k)`` and ``m2`` is ``(n, P)``.
+    boundary rows exist only for ``structure.solve_states``. The
+    chunk's rates are written once, by one gather of its ``(S + 1, P)``
+    source matrix into the sweep's slot-major ``(nnz + 1, P)`` buffer;
+    the reward numerators likewise, from the pair-level rewards. ``x``
+    is point-innermost ``(n, k, P)`` and ``m2`` is ``(n, P)``.
     """
     t0 = time.perf_counter()
     P = len(prepared)
     n = structure.dag.num_states
-    n_rewards = len(prepared[0].reward_columns)
+    n_rewards = len(prepared[0].rewards)
     k = 1 + n_rewards + 3
 
     with span("solve.mean", points=P):
-        numer = np.zeros((n, P, k))
-        numer[:, :, 0] = 1.0  # hitting-time numerator (ignored at absorbing)
-        # One (P, n_rewards, n) → (n, P, n_rewards) copy; a per-column
-        # loop would write each value to its own cache line.
-        numer[:, :, 1 : 1 + n_rewards] = np.array(
-            [point.reward_columns for point in prepared]
-        ).transpose(2, 0, 1)
+        rates = _gather_points(
+            [point.fill.source for point in prepared], structure.slot_source
+        )
+        # Columns: hitting time (numerator 1.0), the rewards, then the
+        # three absorption indicators (numerator 0.0).
+        numerators = [1.0]
+        for j in range(n_rewards):
+            numerators.append(
+                _gather_points(
+                    [point.rewards[j] for point in prepared], structure.solve_pair
+                )
+            )
+        numerators += [0.0, 0.0, 0.0]
 
         classes = structure.solve_classes()
         boundary = np.zeros((n, k))
@@ -549,15 +572,13 @@ def _solve_prepared(
         boundary[classes["c2_byzantine"], 2 + n_rewards] = 1.0
         boundary[classes["depletion"], 3 + n_rewards] = 1.0
 
-        values = np.stack([point.values for point in prepared])
-        x = solve_dag_batch(structure.dag, values, numer, boundary)
+        x = solve_dag_batch(structure.dag, rates, numerators, boundary)
 
     m2: Optional[np.ndarray] = None
     if include_variance:
         with span("solve.variance", points=P):
-            numer2 = np.ascontiguousarray(2.0 * x[:, :, 0:1])
             boundary2 = np.zeros((n, 1))
-            m2 = solve_dag_batch(structure.dag, values, numer2, boundary2)[:, :, 0]
+            m2 = solve_dag_batch(structure.dag, rates, [2.0 * x[:, 0]], boundary2)[:, 0]
     return x, m2, time.perf_counter() - t0
 
 
@@ -570,7 +591,7 @@ def _package_point(
 ) -> GCSResult:
     """Mirror of :meth:`GCSEvaluation._package` for one solved column set."""
     init = structure.solve_initial
-    n_rewards = len(point.reward_columns)
+    n_rewards = len(point.rewards)
     mttsf = float(x[init, 0])
     if mttsf <= 0.0:
         raise ParameterError(
@@ -670,11 +691,9 @@ def evaluate_batch_outcomes(
     for num_nodes, group in by_nodes.items():
         structure = lattice_structure(num_nodes)
         n_rewards = (len(COMPONENT_NAMES) + 1) if include_breakdown else 1
-        chunk = _chunk_size(structure, 1 + n_rewards + 3, max_batch_bytes)
-        # Points are prepared chunk by chunk — a _PreparedPoint holds
-        # nnz- and n-sized arrays, so preparing a whole group up front
-        # would let a large sweep blow straight through the byte budget
-        # the chunking exists to enforce.
+        chunk = _chunk_size(structure, n_rewards, include_variance, max_batch_bytes)
+        # Points are prepared chunk by chunk, so a prepared point never
+        # outlives its chunk's sweep.
         for start in range(0, len(group), chunk):
             prepared: list[_PreparedPoint] = []
             for i in group[start : start + chunk]:
@@ -707,7 +726,7 @@ def evaluate_batch_outcomes(
                             _package_point(
                                 structure,
                                 point,
-                                x[:, j],
+                                x[:, :, j],
                                 m2[:, j] if m2 is not None else None,
                                 share,
                             ),
@@ -792,7 +811,7 @@ def _package_survivability(
     point mass, so ``c(0) = cost[initial]``).
     """
     ts = np.asarray(times)
-    cost = point.reward_columns[0]
+    cost = point.rewards[0][structure.solve_pair]
     cdf: dict[str, np.ndarray] = {
         "any": (dist * absorbing_mask[None, :]).sum(axis=1)
     }
@@ -889,7 +908,9 @@ def evaluate_survivability_batch_outcomes(
             t0 = time.perf_counter()
             try:
                 with span("solve.transient", points=len(prepared)):
-                    values = np.stack([point.values for point in prepared])
+                    # One gather of the chunk's sources: (P, nnz) fills.
+                    sources = np.array([point.fill.source for point in prepared])
+                    values = sources[:, structure.rate_gather]
                     dist = transient_distribution_batch(
                         structure.dag.indptr,
                         structure.dag.indices,

@@ -168,33 +168,30 @@ class BatchDagStructure:
     :func:`solve_dag_batch` call. The pattern is stored twice:
 
     * canonical CSR (``indptr``/``indices``, columns sorted within each
-      row) — the shape rate fills scatter into;
+      row) — the slot order rate fills are laid out in;
     * padded ELL in level order (``lvl_ell_slots``/``lvl_ell_cols``,
       one fixed-width row per state, real slots first in CSR order,
       pads after) — the plan the backward sweep gathers by. The rows
       are permuted into level order, so level ``L``'s rows are the
       contiguous slice ``lvl_row_bounds[L]:lvl_row_bounds[L + 1]``,
-      and pad entries point at the sentinel slot ``nnz``: the sweep
-      gathers each level's values from a slot-major value copy with a
-      zero row appended, so pads read exact ``0.0``. Keeping the real
-      slots in CSR order makes the batched per-row accumulation run in
-      exactly the sequence scipy's CSR matvec uses, which is what makes
-      the batched solve *bit-identical* to the per-point one (trailing
-      ``+ 0.0`` pads cannot perturb an IEEE sum of finite non-negative
-      terms).
+      and pad entries point at the sentinel slot ``nnz``: the sweep's
+      slot-major rates carry a zero row there, so pads read exact
+      ``0.0``. Keeping the real slots in CSR order makes the batched
+      per-row accumulation run in exactly the sequence scipy's CSR
+      matvec uses, which is what makes the batched solve
+      *bit-identical* to the per-point one (trailing ``+ 0.0`` pads
+      cannot perturb an IEEE sum of finite non-negative terms).
 
     The level schedule is computed on the pattern alone. Any per-point
     pattern is a subset (rates may evaluate to zero), and removing
     edges only ever relaxes scheduling constraints, so the shared
     schedule stays valid for every point; per-point *rate-absorbing*
-    states (all-zero rows) are handled by the boundary short-circuit in
+    states (all-zero rows) take their boundary values in
     :func:`solve_dag_batch`.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    #: Row index of every CSR slot (``nnz``-long, non-decreasing).
-    slot_rows: np.ndarray
     structure: DagStructure
     width: int
     lvl_row_bounds: np.ndarray
@@ -243,7 +240,8 @@ def batch_dag_structure(
 
     # Level-synchronous Kahn: wave L processes exactly the states whose
     # longest path to an out-degree-zero state is L, so levels fall out
-    # of the wave index; everything per wave is array arithmetic.
+    # of the wave index; everything per wave is array arithmetic on the
+    # wave's predecessors, never on all n states.
     remaining = deg.copy()
     levels = np.zeros(n, dtype=np.int64)
     current = np.flatnonzero(remaining == 0)
@@ -261,8 +259,8 @@ def batch_dag_structure(
         preds = pred_rows[flat]
         level += 1
         levels[preds] = level
-        remaining -= np.bincount(preds, minlength=n)
-        candidates = np.unique(preds)
+        candidates, counts = np.unique(preds, return_counts=True)
+        remaining[candidates] -= counts
         current = candidates[remaining[candidates] == 0]
         processed += current.size
     if processed != n:
@@ -277,7 +275,6 @@ def batch_dag_structure(
     return BatchDagStructure(
         indptr=indptr,
         indices=indices,
-        slot_rows=rows_of_slot,
         structure=DagStructure(levels=levels, level_states=level_states),
         width=width,
         lvl_row_bounds=boundaries,
@@ -286,55 +283,84 @@ def batch_dag_structure(
     )
 
 
-def _row_sums(shared: BatchDagStructure, values: np.ndarray) -> np.ndarray:
-    """Per-point out-rates, bit-identical to scipy's on the pruned chain.
+#: Rows with at most this many slots sum sequentially: numpy's pairwise
+#: sum adds up to 7 terms one by one, and a row's first entry goes on top.
+_SEQUENTIAL_SLOTS = 8
 
-    scipy's CSR ``sum(axis=1)`` reduces each row's data with
-    ``np.add.reduceat`` — *pairwise* grouping over exactly the stored
-    (nonzero) entries — while its matvec accumulates sequentially. The
-    backward sweep must therefore compute ``q`` with the same reduceat
-    over the same element multiset: one reduceat over the shared
-    pattern for every point, then, for each point, a reduceat over the
-    nonzero slots of just the rows where that point stores an explicit
-    zero (an inserted ``0.0`` changes the pairwise grouping, unlike in a
-    sequential sum). All affected ``(point, row)`` pairs are re-summed
-    in one ragged gather and one reduceat.
+#: Rates one gather fetches for a block of consecutive levels. Small
+#: chunks gather many levels at once (all of N = 40 at P = 1), so a
+#: level costs only the sweep's own arithmetic; at N = 100 and P = 54
+#: a level alone exceeds it.
+_GATHER_BLOCK_BYTES = 256 << 10
+
+
+def _out_rates(ev: np.ndarray, slots: np.ndarray, nnz: int) -> np.ndarray:
+    """Out-rates ``(rows, P)`` of ELL rows ``ev = values[slots]``.
+
+    Bit-identical to scipy's on each point's zero-pruned chain: CSR
+    ``sum(axis=1)`` is ``np.add.reduceat`` over a row's stored
+    (nonzero) entries, i.e. the first entry plus numpy's pairwise sum
+    of the rest, and that pairwise sum runs sequentially from ``0.0``
+    below 8 terms. An explicit zero or a pad after the first entry
+    then adds an exact ``+0.0``, so a row of at most 8 slots whose
+    first slot is nonzero sums as ``e₀ + ((e₁ + e₂) + …)`` over the
+    ELL row as stored. The other ``(row, point)`` pairs — a zero first
+    slot (all-zero rows included), or a row of 9 or more slots (its
+    ninth ELL entry is not the sentinel ``nnz``), where the pairwise
+    grouping depends on which entries are stored — are re-summed over
+    their nonzero entries with one ragged ``reduceat``.
     """
-    P, n = values.shape[0], shared.num_states
-    q = np.zeros((P, n))
-    if shared.nnz == 0:
-        return q
-    deg = np.diff(shared.indptr)
-    nonempty = deg > 0
-    q[:, nonempty] = np.add.reduceat(values, shared.indptr[:-1][nonempty], axis=1)
-    zeros = np.flatnonzero(values == 0.0)  # p * nnz + slot
-    if zeros.size == 0:
-        return q
-    zero_points, zero_slots = np.divmod(zeros, shared.nnz)
-    pairs = np.unique(zero_points * n + shared.slot_rows[zero_slots])
-    points, rows = np.divmod(pairs, n)
-    # Ragged gather of every slot of the affected rows, point by point.
-    lens = deg[rows]
-    offsets = np.repeat(np.cumsum(lens) - lens, lens)
-    slots = np.repeat(shared.indptr[rows], lens) + (np.arange(lens.sum()) - offsets)
-    gathered = values[np.repeat(points, lens), slots]
-    keep = gathered != 0.0
-    kept_lens = np.bincount(
-        np.repeat(np.arange(pairs.size), lens)[keep], minlength=pairs.size
-    )
-    sums = np.zeros(pairs.size)
-    stored = kept_lens > 0  # an all-zero row sums to exactly 0.0
-    if stored.any():
-        starts = (np.cumsum(kept_lens) - kept_lens)[stored]
-        sums[stored] = np.add.reduceat(gathered[keep], starts)
-    q[points, rows] = sums
+    rows, width, P = ev.shape
+    rest = ev[:, 1].copy() if width > 1 else np.zeros((rows, P))
+    for j in range(2, width):
+        rest += ev[:, j]
+    q = ev[:, 0] + rest
+    exact = ev[:, 0] == 0.0
+    if width > _SEQUENTIAL_SLOTS:
+        exact |= (slots[:, _SEQUENTIAL_SLOTS] < nnz)[:, None]
+    if exact.any():
+        r, p = np.nonzero(exact)
+        entries = ev[r, :, p]  # (pairs, width): slot order, then pads
+        keep = entries != 0.0
+        counts = keep.sum(axis=1)
+        sums = np.zeros(r.size)
+        stored = counts > 0  # an all-zero row sums to exactly 0.0
+        if stored.any():
+            starts = (np.cumsum(counts) - counts)[stored]
+            sums[stored] = np.add.reduceat(entries[keep], starts)
+        q[r, p] = sums
     return q
+
+
+def _numerator_terms(
+    numerators, n: int, P: int
+) -> tuple[int, list[tuple[int, "float | np.ndarray"]]]:
+    """Column count and the ``(column, term)`` pairs the sweep adds.
+
+    ``numerators`` holds ``k`` columns, each an ``(n, P)`` array or a
+    constant. Constant ``0.0`` columns are left out: they add nothing
+    to a sum of non-negative terms.
+    """
+    terms: list[tuple[int, "float | np.ndarray"]] = []
+    for c, entry in enumerate(numerators):
+        if np.ndim(entry) == 0:
+            if float(entry) != 0.0:
+                terms.append((c, float(entry)))
+            continue
+        entry = np.asarray(entry, dtype=float)
+        if entry.shape != (n, P):
+            raise SolverError(
+                f"numerators must be columns of shape ({n}, {P}) or "
+                f"constants, got a column of shape {entry.shape}"
+            )
+        terms.append((c, entry))
+    return len(numerators), terms
 
 
 def solve_dag_batch(
     shared: BatchDagStructure,
     values: np.ndarray,
-    numerators: np.ndarray,
+    numerators,
     boundary: np.ndarray,
 ) -> np.ndarray:
     """Solve the boundary-value recurrence for ``P`` rate fills at once.
@@ -344,99 +370,106 @@ def solve_dag_batch(
     shared:
         Output of :func:`batch_dag_structure` for the common pattern.
     values:
-        ``(P, nnz)`` finite, non-negative transition rates, one row per
-        grid point, aligned with the pattern's CSR slots. Explicit zeros
-        are allowed (they contribute exact ``+0.0`` terms).
+        ``(nnz + 1, P)`` slot-major rates: row ``s`` holds every
+        point's rate of CSR slot ``s``, and the last row is the zero
+        sentinel the ELL pads read. Rates must be finite and
+        non-negative; explicit zeros are allowed (they contribute exact
+        ``+0.0`` terms).
     numerators:
-        ``(n, P, k)`` per-state numerators ``b``; ignored wherever a
-        point's state is absorbing (zero out-rate *for that point*).
+        Per-state numerators ``b`` as ``k`` columns (a sequence, or a
+        ``(k, n, P)`` array), each an ``(n, P)`` array or a constant for
+        every state and point (``0.0`` adds nothing). Ignored wherever
+        a point's state is absorbing (zero out-rate *for that point*).
     boundary:
-        ``(n, k)`` (shared) or ``(n, P, k)`` prescribed values at
+        ``(n, k)`` (shared) or ``(n, k, P)`` prescribed values at
         absorbing states; ignored at transient states.
 
     Returns
     -------
-    ``(n, P, k)`` array ``x`` with, per point ``p``, ``x[:, p] =
+    ``(n, k, P)`` array ``x`` with, per point ``p``, ``x[:, :, p] =
     boundary`` on that point's absorbing states and ``x_s = (b_s +
     Σ_j R_sj x_j) / q_s`` on its transient states — bit-identical to
     running :func:`solve_dag` per point on the per-point (zero-pruned)
     chain.
 
-    The sweep is state-major: row ``x[s]`` holds every point's ``k``
-    columns contiguously, so gathering a successor's values for all
-    points is one ``P·k`` block. It makes one slot-major copy of the
-    rates with a zero sentinel row (pads read exact ``0.0``), and each
-    level gathers only its own ``(rows, width, P)`` values from it.
-    ``contrib`` accumulates strictly in CSR slot order starting from
-    the first term — the sequential order of scipy's CSR matvec in
-    per-point :func:`solve_dag` (``0.0 + t₀ == t₀`` for the
-    non-negative products of a rate fill). When every point's absorbing
-    set is exactly the structural one (no explicit all-zero rows — the
-    common case for real rate fills), the boundary is scattered once
-    and the per-level absorbing re-masking is skipped, since levels
-    ≥ 1 are then non-absorbing for every point.
+    The sweep is point-innermost: row ``x[s]`` holds every column of
+    every point contiguously, so gathering a successor's values for all
+    points is one ``k·P`` block. Blocks of consecutive levels gather
+    their own ``(rows, width, P)`` rates from ``values`` (about
+    :data:`_GATHER_BLOCK_BYTES` at a time) and take the rows' out-rates
+    from that same gather with scipy's pruned-row-sum semantics
+    (:func:`_out_rates`). ``contrib`` accumulates strictly in CSR slot
+    order starting from the first term — the sequential order of
+    scipy's CSR matvec in per-point :func:`solve_dag` (``0.0 + t₀ ==
+    t₀`` for the non-negative products of a rate fill). Where some
+    point has an all-zero row, that point's boundary is written there.
 
-    Raises :class:`~repro.errors.SolverError` on shape mismatches and
-    :class:`~repro.errors.ParameterError` on NaN, infinite or negative
-    rates.
+    Raises :class:`~repro.errors.SolverError` on shape mismatches and a
+    nonzero sentinel row, and :class:`~repro.errors.ParameterError` on
+    NaN, infinite or negative rates.
     """
-    values = _validate_rates(values, shared.nnz)
-    numerators = np.asarray(numerators, dtype=float)
+    nnz, n = shared.nnz, shared.num_states
+    values = _validate_rates(values, (nnz + 1, None))
+    if values[-1].any():
+        raise SolverError(f"values' sentinel row {nnz} must be zero")
+    P = values.shape[1]
+    k, terms = _numerator_terms(numerators, n, P)
     boundary = np.asarray(boundary, dtype=float)
-    P = values.shape[0]
-    n = shared.num_states
-    if numerators.ndim != 3 or numerators.shape[:2] != (n, P):
-        raise SolverError(
-            f"numerators must have shape ({n}, {P}, k), got {numerators.shape}"
-        )
-    k = numerators.shape[2]
     if boundary.shape == (n, k):
-        boundary = np.broadcast_to(boundary[:, None, :], (n, P, k))
-    elif boundary.shape != (n, P, k):
+        boundary = boundary[:, :, None]
+    elif boundary.shape != (n, k, P):
         raise SolverError(
-            f"boundary must have shape ({n}, {k}) or ({n}, {P}, {k}), "
+            f"boundary must have shape ({n}, {k}) or ({n}, {k}, {P}), "
             f"got {boundary.shape}"
         )
-    levels = len(shared.structure.level_states)
-    with span("solve_dag_batch", points=P, states=n, levels=levels):
-        q = np.ascontiguousarray(_row_sums(shared, values).T)  # (n, P)
-        absorbing = q == 0.0
-        struct_abs = shared.structure.levels == 0
-        uniform = bool(
-            np.array_equal(absorbing, np.broadcast_to(struct_abs[:, None], (n, P)))
-        )
-        if uniform:
-            x = np.zeros((n, P, k))
-            idx = np.flatnonzero(struct_abs)
-            x[idx] = boundary[idx]
-            safe_q = q  # levels >= 1 are non-absorbing for every point
-        else:
-            x = np.where(absorbing[:, :, None], boundary, 0.0)
-            safe_q = np.where(absorbing, 1.0, q)
-
-        # Slot-major values; the sentinel row nnz holds the 0.0 pads.
-        vals_t = np.zeros((shared.nnz + 1, P))
-        vals_t[:-1] = values.T
+    level_states = shared.structure.level_states
+    with span("solve_dag_batch", points=P, states=n, levels=len(level_states)):
+        x = np.zeros((n, k, P))
+        # Level 0 is exactly the structurally absorbing set.
+        x[level_states[0]] = boundary[level_states[0]]
 
         bounds = shared.lvl_row_bounds
-        for L, rows in enumerate(shared.structure.level_states[1:], start=1):
-            a, b = bounds[L], bounds[L + 1]
-            ev = vals_t[shared.lvl_ell_slots[a:b]][..., None]  # (rows, width, P, 1)
-            cols = shared.lvl_ell_cols[a:b]
-            contrib = ev[:, 0] * x[cols[:, 0]]
-            for j in range(1, shared.width):
-                term = x[cols[:, j]]
-                term *= ev[:, j]
-                contrib += term
-            # In place: IEEE + and × commute, so this is (b + Σ) / q.
-            contrib += numerators[rows]
-            contrib /= safe_q[rows, :, None]
-            if uniform:
-                x[rows] = contrib
-            else:
-                x[rows] = np.where(absorbing[rows, :, None], x[rows], contrib)
+        row_bytes = 8 * shared.lvl_ell_slots.shape[1] * max(P, 1)
+        block_rows = max(1, _GATHER_BLOCK_BYTES // row_bytes)
+        first, depth = 1, len(level_states)
+        while first < depth:
+            # Levels first..end - 1: those within block_rows rows, at least one.
+            start = bounds[first]
+            end = max(
+                first + 1,
+                int(np.searchsorted(bounds, start + block_rows, side="right")) - 1,
+            )
+            slots = shared.lvl_ell_slots[start : bounds[end]]
+            block = values[slots]  # (rows, width, P)
+            block_q = _out_rates(block, slots, nnz)
+            block_absorbing = block_q == 0.0
+            some_absorbing = bool(block_absorbing.any())
+            if some_absorbing:
+                block_q[block_absorbing] = 1.0
+            for L in range(first, end):
+                a, b = bounds[L] - start, bounds[L + 1] - start
+                rows = level_states[L]
+                ev = block[a:b]
+                cols = shared.lvl_ell_cols[bounds[L] : bounds[L + 1]]
+                contrib = x[cols[:, 0]]
+                contrib *= ev[:, None, 0]
+                for j in range(1, shared.width):
+                    term = x[cols[:, j]]
+                    term *= ev[:, None, j]
+                    contrib += term
+                # In place: IEEE + and × commute, so this is (b + Σ) / q.
+                for c, numer in terms:
+                    contrib[:, c] += numer if isinstance(numer, float) else numer[rows]
+                contrib /= block_q[a:b, None, :]
+                if some_absorbing:
+                    x[rows] = np.where(
+                        block_absorbing[a:b, None, :], boundary[rows], contrib
+                    )
+                else:
+                    x[rows] = contrib
+            first = end
     registry = metrics()
     registry.counter("solver.dag_batch_solves").add()
     registry.counter("solver.dag_points_solved").add(P)
-    registry.counter("solver.dag_level_sweeps").add(levels)
+    registry.counter("solver.dag_level_sweeps").add(len(level_states))
     return x

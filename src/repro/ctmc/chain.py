@@ -292,15 +292,27 @@ def _validate_pattern(
     return indptr, indices, n
 
 
-def _validate_rates(values: np.ndarray, nnz: int) -> np.ndarray:
-    """Coerce stacked ``(P, nnz)`` rate fills to float and check them.
+def _validate_rates(
+    values: np.ndarray, shape: tuple[Optional[int], Optional[int]]
+) -> np.ndarray:
+    """Coerce a 2-D rate array to float and check it.
 
-    A shape mismatch is a :class:`~repro.errors.SolverError`; NaN,
-    infinite or negative rates are a :class:`~repro.errors.ParameterError`.
+    ``shape`` is the expected shape with ``None`` for the free point
+    count ``P``: ``(None, nnz)`` for point-major fills, ``(nnz + 1,
+    None)`` for the DAG sweep's slot-major rates. A shape mismatch is a
+    :class:`~repro.errors.SolverError`; NaN, infinite or negative rates
+    are a :class:`~repro.errors.ParameterError`.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != nnz:
-        raise SolverError(f"values must have shape (P, {nnz}), got {values.shape}")
-    if values.size and (not np.all(np.isfinite(values)) or values.min() < 0.0):
+    if values.ndim != 2 or any(
+        want is not None and got != want for got, want in zip(values.shape, shape)
+    ):
+        expected = tuple("P" if want is None else want for want in shape)
+        raise SolverError(
+            f"values must have shape ({expected[0]}, {expected[1]}), "
+            f"got {values.shape}"
+        )
+    # NaN and every negative fail the min test, +inf the max test.
+    if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
         raise ParameterError("transition rates must be finite and non-negative")
     return values

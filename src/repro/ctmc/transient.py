@@ -515,7 +515,7 @@ def transient_distribution_batch(
     ``eps``.
     """
     indptr, indices, n = _validate_pattern(indptr, indices)
-    values = _validate_rates(values, indices.size)
+    values = _validate_rates(values, (None, indices.size))
     num_points = values.shape[0]
     if indices.size and np.any(
         indices == np.repeat(np.arange(n), np.diff(indptr))

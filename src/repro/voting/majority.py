@@ -204,24 +204,31 @@ class VotingErrorModel:
             for kk in range(m + 2):
                 tail[nn, kk] = binomial_tail(kk, nn, p_err)
 
-        log_pool_choose = gammaln(pool + 1)
+        # Every log-factorial from one lookup, lgamma[i] = gammaln(i):
+        # it reaches pool + m + 1, the largest index a masked-out cell
+        # reads. The k-invariant terms of log_w are taken once, and its
+        # left-to-right order is kept.
+        lgamma = gammaln(np.arange(int(pool.max(initial=0)) + m + 2))
+        lgamma_bad = lgamma[pool_bad + 1]
+        lgamma_good = lgamma[pool_good + 1]
+        log_pool_choose = (
+            lgamma[pool + 1]
+            - lgamma[np.maximum(m_eff, 0) + 1]
+            - lgamma[np.maximum(pool - m_eff, 0) + 1]
+        )
         total = np.zeros(pool.shape, dtype=float)
         for k in range(0, m + 1):
             draws_left = m_eff - k
             valid = (k <= pool_bad) & (draws_left >= 0) & (draws_left <= pool_good)
             with np.errstate(invalid="ignore"):
                 log_w = (
-                    gammaln(pool_bad + 1)
-                    - gammaln(k + 1)
-                    - gammaln(np.maximum(pool_bad - k, 0) + 1)
-                    + gammaln(pool_good + 1)
-                    - gammaln(np.maximum(draws_left, 0) + 1)
-                    - gammaln(np.maximum(pool_good - draws_left, 0) + 1)
-                    - (
-                        log_pool_choose
-                        - gammaln(np.maximum(m_eff, 0) + 1)
-                        - gammaln(np.maximum(pool - m_eff, 0) + 1)
-                    )
+                    lgamma_bad
+                    - lgamma[k + 1]
+                    - lgamma[np.maximum(pool_bad - k, 0) + 1]
+                    + lgamma_good
+                    - lgamma[np.maximum(draws_left, 0) + 1]
+                    - lgamma[np.maximum(pool_good - draws_left, 0) + 1]
+                    - log_pool_choose
                 )
             weight = np.where(valid, np.exp(np.where(valid, log_w, 0.0)), 0.0)
             if bad_votes_against:

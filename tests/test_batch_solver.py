@@ -37,7 +37,7 @@ from repro.core.metrics import (
 from repro.core.optimizer import optimize_tids, tradeoff_curve
 from repro.core.rates import GCSRates
 from repro.ctmc.acyclic import (
-    _row_sums,
+    _out_rates,
     batch_dag_structure,
     solve_dag,
     solve_dag_batch,
@@ -53,7 +53,7 @@ from repro.engine import (
     make_backend,
 )
 from repro.engine.batch import evaluate_request
-from repro.errors import ParameterError, SolverError
+from repro.errors import ModelError, ParameterError, SolverError
 from repro.params import GCSParameters
 
 N_TEST = 16  # full paper grids at a lattice size that solves in ms
@@ -97,6 +97,20 @@ def _assert_identical(batch_result, point_result, *, variance=False):
 # solve_dag_batch unit level
 # ---------------------------------------------------------------------------
 
+def _slot_major(values):
+    """``(P, nnz)`` fills as the sweep's ``(nnz + 1, P)`` rates."""
+    return np.concatenate([values.T, np.zeros((1, values.shape[0]))])
+
+
+def _sweep_out_rates(shared, values):
+    """``(P, n)`` out-rates as the sweep takes them from its ELL gathers."""
+    rows = np.concatenate(shared.structure.level_states)
+    slots = shared.lvl_ell_slots
+    q = np.zeros((shared.num_states, values.shape[0]))
+    q[rows] = _out_rates(_slot_major(values)[slots], slots, shared.nnz)
+    return q.T
+
+
 def _random_dag_chain(rng, n=40, density=0.2):
     """Strictly lower-triangular random rate matrix (guaranteed DAG)."""
     transitions = []
@@ -121,7 +135,9 @@ class TestSolveDagBatch:
         boundary = np.zeros((n, k))
         boundary[chain.absorbing_states, 0] = 1.0
 
-        x = solve_dag_batch(shared, values, numer, boundary)
+        x = solve_dag_batch(
+            shared, _slot_major(values), numer.transpose(2, 0, 1), boundary
+        )
         for p in range(P):
             import scipy.sparse as sp
 
@@ -133,7 +149,7 @@ class TestSolveDagBatch:
             )
             structure_p = topological_levels(chain_p)
             x_p = solve_dag(chain_p, structure_p, numer[:, p], boundary)
-            assert np.array_equal(x[:, p], x_p), f"point {p} diverged"
+            assert np.array_equal(x[:, :, p], x_p), f"point {p} diverged"
 
     def test_explicit_zeros_match_pruned_chain(self):
         rng = np.random.default_rng(11)
@@ -147,7 +163,9 @@ class TestSolveDagBatch:
         numer = np.ones((n, 1, 1))
         boundary = np.zeros((n, 1))
 
-        x = solve_dag_batch(shared, values[None, :], numer, boundary)[:, 0]
+        x = solve_dag_batch(
+            shared, _slot_major(values[None, :]), numer.transpose(2, 0, 1), boundary
+        )[:, :, 0]
         import scipy.sparse as sp
 
         pruned = CTMC(
@@ -180,7 +198,7 @@ class TestSolveDagBatch:
             shared = batch_dag_structure(R.indptr, R.indices)
             values = np.stack([R.data * s for s in rng.uniform(0.5, 2.0, size=3)])
             values[rng.random(values.shape) < 0.2] = 0.0
-            q = _row_sums(shared, values)
+            q = _sweep_out_rates(shared, values)
             for p in range(values.shape[0]):
                 pruned = CTMC(
                     sp.csr_matrix(
@@ -204,13 +222,28 @@ class TestSolveDagBatch:
         chain = _random_dag_chain(np.random.default_rng(3), n=10)
         R = chain.rates
         shared = batch_dag_structure(R.indptr, R.indices)
-        good_vals = R.data[None, :]
+        good_vals = _slot_major(R.data[None, :])
         with pytest.raises(SolverError, match="values"):
-            solve_dag_batch(shared, R.data[None, :-1], np.ones((10, 1, 1)), np.zeros((10, 1)))
+            solve_dag_batch(
+                shared, _slot_major(R.data[None, :-1]), [np.ones((10, 1))],
+                np.zeros((10, 1)),
+            )
         with pytest.raises(SolverError, match="numerators"):
-            solve_dag_batch(shared, good_vals, np.ones((9, 1, 1)), np.zeros((10, 1)))
+            solve_dag_batch(shared, good_vals, [np.ones((9, 1))], np.zeros((10, 1)))
         with pytest.raises(SolverError, match="boundary"):
-            solve_dag_batch(shared, good_vals, np.ones((10, 1, 1)), np.zeros((9, 1)))
+            solve_dag_batch(shared, good_vals, [np.ones((10, 1))], np.zeros((9, 1)))
+        bad_sentinel = good_vals.copy()
+        bad_sentinel[-1] = 1.0
+        with pytest.raises(SolverError, match="sentinel"):
+            solve_dag_batch(shared, bad_sentinel, [1.0], np.zeros((10, 1)))
+
+    def test_zero_points(self):
+        chain = _random_dag_chain(np.random.default_rng(3), n=10)
+        R = chain.rates
+        shared = batch_dag_structure(R.indptr, R.indices)
+        rates = np.zeros((R.nnz + 1, 0))
+        x = solve_dag_batch(shared, rates, [1.0, np.ones((10, 0))], np.zeros((10, 2)))
+        assert x.shape == (10, 2, 0)
 
     @pytest.mark.parametrize("column", [5, -1])
     def test_out_of_range_column_rejected(self, column):
@@ -226,7 +259,9 @@ class TestSolveDagBatch:
         values = np.stack([R.data, R.data])
         values[1, 0] = rate
         with pytest.raises(ParameterError, match="finite and non-negative"):
-            solve_dag_batch(shared, values, np.ones((10, 2, 1)), np.zeros((10, 1)))
+            solve_dag_batch(
+                shared, _slot_major(values), [np.ones((10, 2))], np.zeros((10, 1))
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +309,12 @@ class TestFusedGatherKernel:
         numer = np.ones((n, len(scenarios), 1))
         boundary = np.zeros((n, 1))
         boundary[structure.solve_classes()["c1_data_leak"], 0] = 1.0
-        x = solve_dag_batch(structure.dag, values, numer, boundary)
+        x = solve_dag_batch(
+            structure.dag, _slot_major(values), numer.transpose(2, 0, 1), boundary
+        )
         for p in range(len(scenarios)):
             x_p = _per_point_solve(structure.dag, values[p], numer[:, p], boundary)
-            assert np.array_equal(x[:, p], x_p), f"{grid} point {p} diverged"
+            assert np.array_equal(x[:, :, p], x_p), f"{grid} point {p} diverged"
 
     def test_sweep_matches_per_point_solve_dag(self):
         rng = np.random.default_rng(23)
@@ -291,10 +328,12 @@ class TestFusedGatherKernel:
         boundary = np.zeros((n, k))
         boundary[chain.absorbing_states, 0] = 1.0
 
-        x = solve_dag_batch(shared, values, numer, boundary)
+        x = solve_dag_batch(
+            shared, _slot_major(values), numer.transpose(2, 0, 1), boundary
+        )
         for p in range(P):
             x_p = _per_point_solve(shared, values[p], numer[:, p], boundary)
-            assert np.array_equal(x[:, p], x_p), f"point {p} diverged"
+            assert np.array_equal(x[:, :, p], x_p), f"point {p} diverged"
 
     @pytest.mark.parametrize("variance", [False, True])
     @pytest.mark.parametrize("grid", ["fig2", "fig4"])
@@ -314,40 +353,192 @@ class TestFusedGatherKernel:
         boundary[structure.c1_state, 2] = 1.0
         boundary[structure.c2_states, 3] = 1.0
         boundary[structure.depletion_states, 4] = 1.0
-        x_full = solve_dag_batch(full, values, numer, boundary)
-        x = solve_dag_batch(structure.dag, values, numer[solve], boundary[solve])
+        rates = _slot_major(values)
+        numer = numer.transpose(2, 0, 1)
+        x_full = solve_dag_batch(full, rates, numer, boundary)
+        x = solve_dag_batch(structure.dag, rates, numer[:, solve], boundary[solve])
         assert x.tobytes() == x_full[solve].tobytes()
         if variance:
             m2_full = solve_dag_batch(
-                full, values, 2.0 * x_full[:, :, :1], np.zeros((n, 1))
+                full, rates, [2.0 * x_full[:, 0]], np.zeros((n, 1))
             )
             m2 = solve_dag_batch(
-                structure.dag, values, 2.0 * x[:, :, :1], np.zeros((solve.size, 1))
+                structure.dag, rates, [2.0 * x[:, 0]], np.zeros((solve.size, 1))
             )
             assert m2.tobytes() == m2_full[solve].tobytes()
 
     def test_sweep_working_set(self):
-        # The sweep holds one slot-major copy of the rates and gathers
-        # values level by level. Allocated inside one call: vals_t and
-        # x (8·P·(nnz + n·k) bytes) plus per-level scratch. A
-        # whole-batch (P, n, width) ELL copy would add ~0.5× more.
+        # A chunk's rates are written once, into the sweep's slot-major
+        # (nnz + 1, P) buffer, and the sweep keeps x and the reward
+        # numerators point-innermost on the solve space: 8 bytes per
+        # float, per point nnz + 1 + n·(k + 1) with k = 5 columns and
+        # one reward. Peak of the whole chunk pipeline, prepare and
+        # packaging included, over the 36-point fig2 grid; stacked
+        # per-point fills or a transposed copy of the rates would each
+        # add ~0.16 MB to the 0.41 MB per point.
         import tracemalloc
 
-        scenarios = _fig2_scenarios_at(40)[:8]
-        structure, values = self._lattice_fills(scenarios)
-        dag = structure.dag
+        scenarios = _fig2_scenarios_at(40)
+        evaluate_batch_outcomes(scenarios)  # structure and tables cached
+        dag = lattice_structure(40).dag
         P, n, k = len(scenarios), dag.num_states, 5
-        numer = np.ones((n, P, k))
-        boundary = np.zeros((n, k))
-        boundary[structure.solve_classes()["c1_data_leak"], 1] = 1.0
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            solve_dag_batch(dag, values, numer, boundary)
+            outcomes = evaluate_batch_outcomes(scenarios)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.35 * 8 * P * (dag.nnz + n * k)
+        assert all(error is None for _, error in outcomes)
+        assert peak <= 1.25 * 8 * P * (dag.nnz + 1 + n * (k + 1))
+
+
+def _reference_row_sums(shared, values):
+    """``(P, n)`` pruned out-rates of ``(P, nnz)`` fills: the point-major
+    ``reduceat`` the sweep used before it read them from its ELL gathers."""
+    P, n = values.shape[0], shared.num_states
+    q = np.zeros((P, n))
+    if shared.nnz == 0:
+        return q
+    deg = np.diff(shared.indptr)
+    slot_rows = np.repeat(np.arange(n), deg)
+    nonempty = deg > 0
+    q[:, nonempty] = np.add.reduceat(values, shared.indptr[:-1][nonempty], axis=1)
+    zeros = np.flatnonzero(values == 0.0)
+    if zeros.size == 0:
+        return q
+    zero_points, zero_slots = np.divmod(zeros, shared.nnz)
+    pairs = np.unique(zero_points * n + slot_rows[zero_slots])
+    points, rows = np.divmod(pairs, n)
+    lens = deg[rows]
+    offsets = np.repeat(np.cumsum(lens) - lens, lens)
+    slots = np.repeat(shared.indptr[rows], lens) + (np.arange(lens.sum()) - offsets)
+    gathered = values[np.repeat(points, lens), slots]
+    keep = gathered != 0.0
+    kept_lens = np.bincount(
+        np.repeat(np.arange(pairs.size), lens)[keep], minlength=pairs.size
+    )
+    sums = np.zeros(pairs.size)
+    stored = kept_lens > 0
+    if stored.any():
+        starts = (np.cumsum(kept_lens) - kept_lens)[stored]
+        sums[stored] = np.add.reduceat(gathered[keep], starts)
+    q[points, rows] = sums
+    return q
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_property_sweep_out_rates_match_row_sums(seed):
+    """The sweep's out-rates == the pruned ``reduceat`` row sums, bitwise.
+
+    The cases where ``e₀ + ((e₁ + e₂) + …)`` over an ELL row is wrong
+    all occur: explicit zeros in any slot, the first included, rows of
+    9 or more slots (numpy's pairwise grouping), all-zero rows, and
+    magnitudes far enough apart that the grouping shows in the last bit.
+    """
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    transitions = []
+    for src in range(1, n):
+        width = int(rng.integers(0, min(src, 14) + 1))
+        for dst in rng.choice(src, size=width, replace=False):
+            rate = float(rng.uniform(0.5, 2.0) * 10.0 ** rng.integers(-17, 1))
+            transitions.append((src, int(dst), rate))
+    R = CTMC.from_transitions(n, transitions).rates
+    if R.nnz == 0:
+        return
+    shared = batch_dag_structure(R.indptr, R.indices)
+    P = 3
+    values = np.stack([R.data * s for s in rng.uniform(0.5, 2.0, size=P)])
+    values[rng.random(values.shape) < 0.25] = 0.0
+    deg = np.diff(R.indptr)
+    values[0, R.indptr[:-1][deg > 0]] = 0.0  # every row's first slot
+    values[1, R.indptr[int(np.argmax(deg))] : R.indptr[int(np.argmax(deg)) + 1]] = 0.0
+    q = _sweep_out_rates(shared, values)
+    assert q.tobytes() == _reference_row_sums(shared, values).tobytes()
+    for p in range(P):
+        pruned = CTMC(
+            sp.csr_matrix((values[p], R.indices.copy(), R.indptr.copy()), shape=R.shape)
+        )
+        assert q[p].tobytes() == pruned.out_rates.tobytes()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.0, 1.0, 1e-16, 1e-16], [1e-3, 1.0] + [1e-16] * 7],
+    ids=["zero-first-slot", "nine-slots"],
+)
+def test_sweep_out_rates_where_the_plain_row_sum_is_wrong(row):
+    # The plain ELL sum e₀ + ((e₁ + e₂) + …) misses the pruned first
+    # entry (1.0, not 1 + 2e-16) and numpy's pairwise grouping of 8 or
+    # more terms (1.001, not 1.001 + 6e-16).
+    width = len(row)
+    R = CTMC.from_transitions(
+        width + 1, [(width, dst, 1.0) for dst in range(width)]
+    ).rates
+    shared = batch_dag_structure(R.indptr, R.indices)
+    values = np.array([row])
+    q = _sweep_out_rates(shared, values)
+    assert q.tobytes() == _reference_row_sums(shared, values).tobytes()
+    assert q[0, width] != row[0] + sum(row[1:])
+
+
+def _reference_levels(indptr, indices):
+    """Longest-path levels by the Kahn loop that subtracts a full
+    ``bincount(preds, minlength=n)`` at every wave."""
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    rows_of_slot = np.repeat(np.arange(n, dtype=np.int64), deg)
+    pred_rows = rows_of_slot[np.argsort(indices, kind="stable")]
+    pred_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=pred_indptr[1:])
+    remaining = deg.copy()
+    levels = np.zeros(n, dtype=np.int64)
+    current = np.flatnonzero(remaining == 0)
+    level = 0
+    while True:
+        starts = pred_indptr[current]
+        lens = pred_indptr[current + 1] - starts
+        total = int(lens.sum())
+        if total == 0:
+            break
+        offsets = np.repeat(np.cumsum(lens) - lens, lens)
+        preds = pred_rows[np.repeat(starts, lens) + (np.arange(total) - offsets)]
+        level += 1
+        levels[preds] = level
+        remaining -= np.bincount(preds, minlength=n)
+        candidates = np.unique(preds)
+        current = candidates[remaining[candidates] == 0]
+    return levels
+
+
+@pytest.mark.parametrize("num_nodes", [*range(1, 13), 40])
+def test_kahn_schedule_matches_full_bincount_loop(num_nodes):
+    # The waves subtract each predecessor's count at the candidates
+    # only; levels and the whole level schedule must not move.
+    pattern = lattice_structure(num_nodes).dag
+    shared = batch_dag_structure(pattern.indptr, pattern.indices)
+    levels = _reference_levels(pattern.indptr, pattern.indices)
+    assert np.array_equal(shared.structure.levels, levels)
+    order = np.argsort(levels, kind="stable")
+    bounds = np.searchsorted(levels[order], np.arange(levels.max() + 2))
+    assert np.array_equal(shared.lvl_row_bounds, bounds)
+    for L, states in enumerate(shared.structure.level_states):
+        assert np.array_equal(states, order[bounds[L] : bounds[L + 1]])
+    deg = np.diff(pattern.indptr)
+    slots = np.full((deg.size, max(int(deg.max()), 1)), pattern.nnz)
+    for state in range(deg.size):
+        slots[state, : deg[state]] = np.arange(
+            pattern.indptr[state], pattern.indptr[state + 1]
+        )
+    assert np.array_equal(shared.lvl_ell_slots, slots[order])
+    assert np.array_equal(
+        shared.lvl_ell_cols,
+        np.where(slots < pattern.nnz, np.append(pattern.indices, 0)[slots], 0)[order],
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,8 +549,13 @@ def test_property_batch_sweep_matches_per_point_solve_dag(seed):
     The boundary carries a value on every state, so a state that a
     point's zeros make absorbing takes its boundary value in both
     solvers — which runs the sweep's non-uniform (per-point absorbing
-    set) branch whenever such a state appears.
+    set) branch whenever such a state appears. Each case runs with the
+    default gather blocks and with one level per block.
     """
+    from unittest import mock
+
+    from repro.ctmc import acyclic
+
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 30))
     chain = _random_dag_chain(rng, n=n, density=0.3)
@@ -372,10 +568,17 @@ def test_property_batch_sweep_matches_per_point_solve_dag(seed):
     values[rng.random(values.shape) < 0.2] = 0.0
     numer = rng.uniform(0.0, 1.0, size=(n, P, k))
     boundary = rng.uniform(0.0, 1.0, size=(n, P, k))
-    x = solve_dag_batch(shared, values, numer, boundary)
-    for p in range(P):
-        x_p = _per_point_solve(shared, values[p], numer[:, p], boundary[:, p])
-        assert np.array_equal(x[:, p], x_p), f"point {p} diverged"
+    for block_bytes in (acyclic._GATHER_BLOCK_BYTES, 1):
+        with mock.patch.object(acyclic, "_GATHER_BLOCK_BYTES", block_bytes):
+            x = solve_dag_batch(
+                shared,
+                _slot_major(values),
+                numer.transpose(2, 0, 1),
+                boundary.transpose(0, 2, 1),
+            )
+        for p in range(P):
+            x_p = _per_point_solve(shared, values[p], numer[:, p], boundary[:, p])
+            assert np.array_equal(x[:, :, p], x_p), f"point {p} diverged"
 
 
 def test_host_probes_for_the_benchmark():
@@ -467,6 +670,37 @@ class TestEvaluateBatchBitIdentical:
         point = evaluate(params, method="spn")
         _assert_identical(batch, point)
         assert batch.solver.startswith("spn/")
+
+    @pytest.mark.parametrize(
+        "max_batch_bytes", [DEFAULT_BATCH_BYTES, 1], ids=["default", "1"]
+    )
+    def test_nan_rate_point_fails_alone(self, monkeypatch, max_batch_bytes):
+        # A NaN rate input fails its own point with the fill's
+        # ModelError; its chunk mates keep their solo bytes.
+        scenarios = _fig2_scenarios()[:5]
+        bad = scenarios[2]
+        from_scenario = GCSRates.from_scenario
+
+        def nan_attacker(params, network, **kwargs):
+            rates = from_scenario(params, network, **kwargs)
+            if params is bad:
+                object.__setattr__(rates.attacker, "base_rate_hz", float("nan"))
+            return rates
+
+        monkeypatch.setattr(GCSRates, "from_scenario", nan_attacker)
+        outcomes = evaluate_batch_outcomes(
+            scenarios, max_batch_bytes=max_batch_bytes
+        )
+        monkeypatch.undo()
+        for scenario, (result, error) in zip(scenarios, outcomes):
+            if scenario is bad:
+                assert result is None
+                assert isinstance(error, ModelError)
+                assert "finite" in str(error)
+            else:
+                assert error is None
+                (solo,) = evaluate_batch([scenario])
+                _assert_identical(result, solo)
 
     def test_per_point_error_capture(self):
         good = GCSParameters.small_test()

@@ -436,6 +436,60 @@ class TestLayerCoverage:
             assert covered >= MIN_CHILD_COVERAGE, (covered, names)
 
 
+class TestLayerAttribution:
+    """The layers perfbench's ``--trace 1`` times stay on the model path.
+
+    ``perfbench/layers.py`` replaces each of these attributes where the
+    batched path looks it up, through ``owner.__dict__[name]``: a
+    renamed function would fail that lookup with a ``KeyError``, and a
+    path that stopped calling one would leave its layer dark.
+    """
+
+    def _count_calls(self, monkeypatch) -> Counter:
+        import repro.core.metrics as core_metrics
+        from repro.costs.aggregate import GCSCostModel
+
+        calls: Counter = Counter()
+        for owner, name in (
+            (core_metrics, "fill_transition_rates"),
+            (core_metrics, "solve_dag_batch"),
+            (core_metrics, "lattice_structure"),
+            (GCSCostModel, "cost_vector"),
+        ):
+            original = owner.__dict__[name]
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_vector_batch_calls_every_layer(self, monkeypatch):
+        from repro.core.metrics import evaluate_batch_outcomes
+
+        calls = self._count_calls(monkeypatch)
+        grid = [
+            GCSParameters.small_test(detection_interval_s=t)
+            for t in (15.0, 60.0, 240.0)
+        ]
+        batch = BatchRunner(backend=make_backend("vector")).run(
+            [EvalRequest(params=p) for p in grid]
+        )
+        batch.report.raise_on_error()
+        # One chunk: every point prepared, one solve.
+        assert calls == {
+            "fill_transition_rates": 3,
+            "cost_vector": 3,
+            "lattice_structure": 1,
+            "solve_dag_batch": 1,
+        }
+        calls.clear()
+        outcomes = evaluate_batch_outcomes(grid, max_batch_bytes=1)
+        assert all(error is None for _, error in outcomes)
+        assert calls["solve_dag_batch"] == 3  # one solve per chunk
+
+
 # ---------------------------------------------------------------------------
 # batch reports and ledger
 # ---------------------------------------------------------------------------

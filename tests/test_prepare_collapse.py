@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 
 from repro.core.fastpath import (
     _KINDS,
+    _TCM_TABLES,
     build_lattice_chain,
+    clear_structure_cache,
     fill_transition_rates,
     lattice_state_costs,
     lattice_structure,
@@ -181,6 +183,29 @@ def test_fill_shares_the_cost_models_voting_tables():
     assert _table_cached.cache_info().currsize == 2
 
 
+def test_tcm_table_is_one_memo_entry_per_rekey_setting():
+    # Points that differ in anything but the bandwidth, element size
+    # and N share one read-only Tcm table, equal to the per-point list
+    # comprehension the fill used to run; clearing the structures drops it.
+    clear_structure_cache()
+    scenarios = [
+        GCSParameters.small_test(num_voters=m, detection_interval_s=tids)
+        for m in (3, 5)
+        for tids in (15.0, 120.0)
+    ]
+    evaluate_batch(scenarios)
+    assert len(_TCM_TABLES) == 1
+    ((key, table),) = _TCM_TABLES.items()
+    rekey = _scenario_models(scenarios[0])[0].rekey
+    n = scenarios[0].num_nodes
+    assert key == (rekey.network.params.bandwidth_bps, rekey.element_bits, n)
+    expected = np.array([rekey.tcm_s(max(k, 2)) for k in range(n + 2)])
+    assert table.tobytes() == expected.tobytes()
+    assert not table.flags.writeable
+    clear_structure_cache()
+    assert not _TCM_TABLES
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=scenarios())
 def test_collapsed_costs_are_byte_identical(params):
@@ -221,10 +246,20 @@ def test_index_space_invariants(n):
     # Every (t, u) with t + u <= n exactly once.
     assert s.pair_t.size == (n + 1) * (n + 2) // 2
     assert len(set(zip(s.pair_t.tolist(), s.pair_u.tolist()))) == s.pair_t.size
-    # The gather covers the four pair blocks plus n + 1 member counts.
+    # The gather covers the four pair blocks plus n + 1 member counts;
+    # the chunk plan adds the source's trailing 0.0 for the sweep's pads.
     assert s.rate_gather.shape == (s.nnz,)
     assert 0 <= s.rate_gather.min()
     assert s.rate_gather.max() < 4 * s.pair_t.size + n + 1
+    assert np.array_equal(s.slot_source[:-1], s.rate_gather)
+    assert s.slot_source[-1] == 4 * s.pair_t.size + n + 1
+    assert np.array_equal(s.rate_sources, np.unique(s.rate_gather))
+    # Each solve-space state's pair; the C1 state reads the zero entry.
+    lattice = s.solve_states < s.n_lattice
+    assert np.array_equal(
+        s.solve_pair[lattice], s.pair_of_state[s.solve_states[lattice]]
+    )
+    assert np.all(s.solve_pair[~lattice] == s.pair_t.size)
     # The solve space: sorted, unique, holds the initial marking, and is
     # closed — no CSR edge starts or ends outside it, so every state
     # outside has out-degree 0. C1 is reachable only from N = 3 on.
@@ -240,12 +275,11 @@ def test_index_space_invariants(n):
     # Every array the structure holds is frozen: the instance is shared
     # process-wide, so a write must fail rather than poison later points.
     held = _held_arrays(s)
-    dag = (
-        "indptr indices slot_rows lvl_row_bounds lvl_ell_slots lvl_ell_cols"
-    ).split()
+    dag = "indptr indices lvl_row_bounds lvl_ell_slots lvl_ell_cols".split()
     assert set(held) >= {
         *"t u d state_id c2_states depletion_states indptr indices".split(),
         *"pair_t pair_u pair_of_state rate_gather solve_states".split(),
+        *"slot_source rate_sources solve_pair".split(),
         *(f"dag.{name}" for name in dag),
         "dag.structure.levels",
         *(

@@ -148,13 +148,23 @@ class TestSolveDagBatchPermutationInvariance:
         boundary = np.zeros((n, num_cols))
         boundary[chain.absorbing_states, 0] = 1.0
 
-        x = solve_dag_batch(shared, values, numer, boundary)
+        def slot_major(fills):
+            return np.concatenate([fills.T, np.zeros((1, fills.shape[0]))])
+
+        x = solve_dag_batch(
+            shared, slot_major(values), numer.transpose(2, 0, 1), boundary
+        )
         perm = rng.permutation(num_points)
-        x_perm = solve_dag_batch(shared, values[perm], numer[:, perm], boundary)
+        x_perm = solve_dag_batch(
+            shared,
+            slot_major(values[perm]),
+            numer[:, perm].transpose(2, 0, 1),
+            boundary,
+        )
         # Bit-identical, not merely close: per-point arithmetic never
         # mixes points, which is exactly what makes the vector+procs
         # chunk fan-out byte-identical to sequential solving.
-        assert np.array_equal(x_perm, x[:, perm])
+        assert np.array_equal(x_perm, x[:, :, perm])
 
 
 class TestVotingProbabilitiesInUnitInterval:

@@ -701,7 +701,7 @@ def _paper_fills(scenarios):
         [
             _prepare_point(
                 structure, i, p, None, include_breakdown=False, sizes=None
-            ).values
+            ).fill.values
             for i, p in enumerate(scenarios)
         ]
     )
@@ -975,7 +975,7 @@ class TestStiffTruncation:
         structure = lattice_structure(params.num_nodes)
         values = _prepare_point(
             structure, 0, params, None, include_breakdown=False, sizes=None
-        ).values[None, :]
+        ).fill.values[None, :]
         dag = structure.dag
         eps = 1e-3
         dist, counts, _ = _traced(

@@ -3,12 +3,15 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from repro.errors import ParameterError
 from repro.voting import VotingErrorModel
+from repro.voting.combinatorics import binomial_tail
 
 
 def brute_force_eviction_probability(
@@ -178,6 +181,64 @@ def test_property_table_is_the_corner_of_a_larger_table(m, p1, p2, n):
     for small, large in zip(model.table(n), model.table(2 * n)):
         assert small.shape == (n + 1, n + 1)
         assert small.tobytes() == large[: n + 1, : n + 1].tobytes()
+
+
+def _per_term_eviction_grid(m, pool_good, pool_bad, p_err, bad_votes_against):
+    """The eviction grid with one ``gammaln`` call per term of ``log_w``."""
+    pool = pool_good + pool_bad
+    m_eff = np.minimum(m, pool)
+    majority = np.ceil(m_eff / 2.0).astype(np.int64)
+    tail = np.zeros((m + 1, m + 2))
+    for nn in range(m + 1):
+        for kk in range(m + 2):
+            tail[nn, kk] = binomial_tail(kk, nn, p_err)
+    log_pool_choose = gammaln(pool + 1)
+    total = np.zeros(pool.shape, dtype=float)
+    for k in range(0, m + 1):
+        draws_left = m_eff - k
+        valid = (k <= pool_bad) & (draws_left >= 0) & (draws_left <= pool_good)
+        with np.errstate(invalid="ignore"):
+            log_w = (
+                gammaln(pool_bad + 1)
+                - gammaln(k + 1)
+                - gammaln(np.maximum(pool_bad - k, 0) + 1)
+                + gammaln(pool_good + 1)
+                - gammaln(np.maximum(draws_left, 0) + 1)
+                - gammaln(np.maximum(pool_good - draws_left, 0) + 1)
+                - (
+                    log_pool_choose
+                    - gammaln(np.maximum(m_eff, 0) + 1)
+                    - gammaln(np.maximum(pool - m_eff, 0) + 1)
+                )
+            )
+        weight = np.where(valid, np.exp(np.where(valid, log_w, 0.0)), 0.0)
+        if bad_votes_against:
+            needed = np.clip(majority - k, 0, m + 1)
+        else:
+            needed = np.clip(majority, 0, m + 1)
+        total += weight * tail[np.clip(draws_left, 0, m), needed]
+    total[m_eff == 0] = 0.0
+    return np.minimum(total, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([1, 3, 5, 7, 9]),
+    p1=st.floats(min_value=0.0, max_value=1.0),
+    p2=st.floats(min_value=0.0, max_value=1.0),
+    n=st.integers(1, 40),
+)
+def test_property_table_matches_per_term_gammaln(m, p1, p2, n):
+    # The log-factorial lookup and the hoisted k-invariant terms keep
+    # every cell's bytes.
+    g, b = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    pfp = _per_term_eviction_grid(m, np.maximum(g - 1, 0), b, p2, True)
+    pfp[g < 1] = 0.0
+    pfn = 1.0 - _per_term_eviction_grid(m, g, np.maximum(b - 1, 0), 1.0 - p1, False)
+    pfn[b < 1] = 0.0
+    table_pfp, table_pfn = VotingErrorModel(m, p1, p2)._table_uncached(n)
+    assert table_pfp.tobytes() == pfp.tobytes()
+    assert table_pfn.tobytes() == pfn.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
