@@ -1,13 +1,13 @@
-"""Batched lattice solver benchmark: per-point vs batched.
+"""Batched lattice solver benchmark: one point at a time vs batched.
 
 Runs the fig2–fig5 paper campaign (quick ``N = 40`` grids by default,
 ``--full`` for the paper-scale ``N = 100`` campaign; 112 points, 54
 unique after dedup) through the engine in up to two configurations:
 
-* **per-point serial** — the seed path: every unique point rebuilds and
-  solves its own chain (`BatchRunner()` with the serial backend;
-  skipped in ``--full`` mode unless ``--serial`` is passed — the
-  batched win over it is already gated on the quick campaign);
+* **per-point serial** — every unique point solved alone, as a
+  one-point batch (`BatchRunner()` with the serial backend; skipped in
+  ``--full`` mode unless ``--serial`` is passed — the batched win over
+  it is already gated on the quick campaign);
 * **batched** (``--jobs vector``) — one cached lattice structure,
   stacked rate fills and one level-scheduled backward sweep;
 
@@ -89,13 +89,14 @@ def _timed_vector_run(campaign):
 def _run_all(*, full: bool = False, include_serial: bool | None = None):
     campaign = paper_campaign(quick=not full)
     if include_serial is None:
-        include_serial = not full  # N=100 per-point serial takes minutes
+        include_serial = not full  # the quick campaign gates the win
 
     serial_s = None
     outcome_serial = None
     if include_serial:
         # Cold per-point serial: drop every memo so the serial run pays
-        # the seed path's full cost exactly once, like a fresh process.
+        # the structure build and the voting tables once, like a fresh
+        # process.
         _cold_caches()
         serial = BatchRunner()
         t0 = time.perf_counter()

@@ -23,7 +23,6 @@ from .fastpath import (
     lattice_structure,
 )
 from .metrics import (
-    GCSEvaluation,
     evaluate,
     evaluate_batch,
     evaluate_batch_outcomes,
@@ -53,7 +52,6 @@ __all__ = [
     "LatticeStructure",
     "lattice_structure",
     "fill_transition_rates",
-    "GCSEvaluation",
     "evaluate",
     "evaluate_batch",
     "evaluate_batch_outcomes",

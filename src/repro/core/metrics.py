@@ -9,19 +9,21 @@ literal Figure 1 SPN on request), and runs the absorbing analysis:
 * **Ĉtotal** = expected accumulated communication cost ÷ MTTSF;
 * failure-mode split across C1 / C2 / depletion.
 
-:func:`evaluate` solves one scenario; :func:`evaluate_batch` solves a
-whole *sweep* at once. The paper's artifacts are sweeps whose grid
-points share the lattice topology and differ only in rates, so the
-batch path reuses one cached :class:`~repro.core.fastpath.LatticeStructure`
-per group size and runs a single multi-point level-scheduled backward
-sweep (:func:`repro.ctmc.acyclic.solve_dag_batch`). Each point brings
-only its small rate-source and pair-cost vectors; one gather per chunk
-lays them out point-innermost, as the sweep's slot-major ``(nnz + 1,
-P)`` rates and ``(n, P)`` reward numerators, and the sweep returns an
-``(n, k, P)`` solution — bit-identical per-point results, one shared
-pass instead of ``P`` rebuilds. The batched solvers run in the
-structure's *solve space*, the states reachable from the initial
-marking; :func:`evaluate` keeps the full lattice and is their oracle.
+:func:`evaluate_batch` solves a whole *sweep* at once, and
+:func:`evaluate` is its one-point call. The paper's artifacts are
+sweeps whose grid points share the lattice topology and differ only in
+rates, so the batch path reuses one cached
+:class:`~repro.core.fastpath.LatticeStructure` per group size and runs
+a single multi-point level-scheduled backward sweep
+(:func:`repro.ctmc.acyclic.solve_dag_batch`). Each point brings only
+its small rate-source and pair-cost vectors; one gather per chunk lays
+them out point-innermost, as the sweep's slot-major ``(nnz + 1, P)``
+rates and ``(n, P)`` reward numerators, and the sweep returns an ``(n,
+k, P)`` solution — no step mixes points, so a point gets the same
+bytes alone or in any batch. The sweep runs in the structure's *solve
+space*, the states reachable from the initial marking. The test suite
+pins it against :func:`repro.ctmc.absorbing.analyze_absorbing` on the
+full lattice chain (:func:`repro.core.fastpath.build_lattice_chain`).
 
 :func:`evaluate_survivability_batch` is the *transient* counterpart:
 instead of steady-state absorption quantities it computes the
@@ -45,7 +47,6 @@ import numpy as np
 from ..costs.aggregate import GCSCostModel
 from ..costs.components import COMPONENT_NAMES
 from ..costs.sizes import MessageSizes
-from ..ctmc.absorbing import analyze_absorbing
 from ..ctmc.acyclic import solve_dag_batch
 from ..ctmc.birth_death import BirthDeathProcess
 from ..ctmc.transient import csr_row_sums, transient_distribution_batch
@@ -58,10 +59,8 @@ from ..validation import require_sorted_unique
 from .failure import FailureClass
 from .fastpath import (
     TransitionRateFill,
-    build_lattice_chain,
     fill_transition_rates,
     lattice_pair_costs,
-    lattice_state_costs,
     lattice_structure,
 )
 from .model import build_gcs_spn
@@ -69,7 +68,6 @@ from .rates import GCSRates
 from .results import GCSResult, SurvivabilityResult
 
 __all__ = [
-    "GCSEvaluation",
     "evaluate",
     "evaluate_batch",
     "evaluate_batch_outcomes",
@@ -126,263 +124,6 @@ def resolve_network(
     return NetworkModel.analytic(params.network)
 
 
-@dataclass
-class GCSEvaluation:
-    """A reusable evaluation engine for one (params, network) scenario.
-
-    Sweeps that vary only the detection configuration should construct a
-    fresh engine per point (rates and cost cache are configuration-
-    specific) but *reuse the network model* — see
-    :class:`repro.core.scenario.Scenario`, which manages exactly that.
-    """
-
-    params: GCSParameters
-    network: NetworkModel
-
-    def __post_init__(self) -> None:
-        bd = BirthDeathProcess.for_group_count(
-            self.network.partition_rate_hz,
-            self.network.merge_rate_hz,
-            self.params.groups.max_groups,
-        )
-        self.ng_distribution = bd.level_distribution()
-        self.expected_groups = bd.mean_level()
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        method: str = "fast",
-        include_breakdown: bool = False,
-        include_variance: bool = False,
-        sizes: Optional[MessageSizes] = None,
-        max_states: int = 2_000_000,
-    ) -> GCSResult:
-        """Evaluate the scenario.
-
-        ``method``: ``"fast"`` (vectorised lattice, decoupled groups —
-        the default), ``"spn"`` (generic Figure 1 SPN, decoupled), or
-        ``"spn-coupled"`` (``NG`` embedded in the marking; cyclic chain,
-        linear solver — small ``N`` only).
-
-        ``include_variance`` additionally computes the exact standard
-        deviation of the time to security failure (one extra solver
-        sweep; fast path only).
-        """
-        if method not in ("fast", "spn", "spn-coupled"):
-            raise ParameterError(
-                f"method must be fast|spn|spn-coupled, got {method!r}"
-            )
-        if include_variance and method != "fast":
-            raise ParameterError(
-                "include_variance is only supported by the fast method"
-            )
-        cost_model = GCSCostModel(
-            self.params,
-            self.network,
-            sizes=sizes,
-            ng_distribution=self.ng_distribution,
-        )
-        if method == "fast":
-            return self._run_fast(cost_model, include_breakdown, include_variance)
-        return self._run_spn(cost_model, include_breakdown, method, max_states)
-
-    # ------------------------------------------------------------------
-    def _run_fast(
-        self,
-        cost_model: GCSCostModel,
-        include_breakdown: bool,
-        include_variance: bool = False,
-    ) -> GCSResult:
-        t0 = time.perf_counter()
-        lattice = build_lattice_chain(
-            self.params, self.network, expected_groups=self.expected_groups
-        )
-        n_states = lattice.num_states
-        costs = lattice_state_costs(
-            lattice_structure(self.params.num_nodes),
-            cost_model,
-            per_component=include_breakdown,
-        )
-        rewards: dict[str, np.ndarray] = {}
-        if include_breakdown:
-            total = np.zeros(n_states)
-            for name, vec in costs.items():
-                padded = np.append(vec, 0.0)  # C1 state accrues nothing
-                rewards[f"cost_{name}"] = padded
-                total += padded
-            rewards["cost"] = total
-        else:
-            rewards["cost"] = np.append(costs, 0.0)
-        build_s = time.perf_counter() - t0
-
-        t1 = time.perf_counter()
-        solution = analyze_absorbing(
-            lattice.chain,
-            initial=lattice.initial_state,
-            rewards=rewards,
-            absorbing_classes=lattice.absorbing_classes(),
-            second_moment=include_variance,
-        )
-        solve_s = time.perf_counter() - t1
-
-        return self._package(
-            solution.mtta,
-            solution.expected_reward("cost"),
-            {
-                str(FailureClass.C1_DATA_LEAK): solution.absorption_probability(
-                    "c1_data_leak"
-                ),
-                str(FailureClass.C2_BYZANTINE): solution.absorption_probability(
-                    "c2_byzantine"
-                ),
-                str(FailureClass.DEPLETION): solution.absorption_probability(
-                    "depletion"
-                ),
-            },
-            cost_model,
-            n_states,
-            solution.method,
-            build_s,
-            solve_s,
-            breakdown={
-                name.removeprefix("cost_"): solution.expected_reward(name)
-                for name in rewards
-                if name != "cost"
-            }
-            if include_breakdown
-            else None,
-            mttsf_std=solution.mtta_std if include_variance else None,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_spn(
-        self,
-        cost_model: GCSCostModel,
-        include_breakdown: bool,
-        method: str,
-        max_states: int,
-    ) -> GCSResult:
-        coupled = method == "spn-coupled"
-        t0 = time.perf_counter()
-        rates = GCSRates.from_scenario(
-            self.params,
-            self.network,
-            expected_groups=1.0 if coupled else self.expected_groups,
-        )
-        net = build_gcs_spn(
-            self.params, self.network, rates=rates, coupled_groups=coupled
-        )
-
-        if coupled:
-            context = cost_model.context
-
-            def cost_fn(m):
-                return context.component_rates(
-                    m["Tm"],
-                    m["UCm"],
-                    m["DCm"],
-                    max(m["NG"], 1),
-                    detection=cost_model.detection,
-                    voting=cost_model.voting,
-                ).total
-
-        else:
-
-            def cost_fn(m):
-                return cost_model.state_cost_rate(m["Tm"], m["UCm"], m["DCm"])
-
-        def c1(m):
-            return m["GF"] > 0
-
-        def c2(m):
-            t, u = m["Tm"], m["UCm"]
-            return m["GF"] == 0 and u > 0 and 2 * u > t
-
-        def dep(m):
-            return m["GF"] == 0 and m["Tm"] + m["UCm"] == 0 and m["DCm"] == 0
-
-        build_s = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        analysis = analyze_spn(
-            net,
-            rewards={"cost": cost_fn},
-            absorbing_classes={
-                "c1_data_leak": c1,
-                "c2_byzantine": c2,
-                "depletion": dep,
-            },
-            max_states=max_states,
-        )
-        solve_s = time.perf_counter() - t1
-
-        if include_breakdown:
-            raise ParameterError(
-                "include_breakdown is only supported by the fast method; "
-                "the SPN paths exist for cross-validation"
-            )
-
-        return self._package(
-            analysis.mtta,
-            analysis.expected_reward("cost"),
-            {
-                str(FailureClass.C1_DATA_LEAK): analysis.absorption_probability(
-                    "c1_data_leak"
-                ),
-                str(FailureClass.C2_BYZANTINE): analysis.absorption_probability(
-                    "c2_byzantine"
-                ),
-                str(FailureClass.DEPLETION): analysis.absorption_probability(
-                    "depletion"
-                ),
-            },
-            cost_model,
-            analysis.chain.num_states,
-            f"spn/{analysis.solution.method}",
-            build_s,
-            solve_s,
-        )
-
-    # ------------------------------------------------------------------
-    def _package(
-        self,
-        mttsf: float,
-        accumulated_cost: float,
-        probs: dict[str, float],
-        cost_model: GCSCostModel,
-        n_states: int,
-        solver: str,
-        build_s: float,
-        solve_s: float,
-        *,
-        breakdown: Optional[dict[str, float]] = None,
-        mttsf_std: Optional[float] = None,
-    ) -> GCSResult:
-        if mttsf <= 0.0:
-            raise ParameterError(
-                "MTTSF evaluated to zero: the initial marking is already failed"
-            )
-        ctotal = accumulated_cost / mttsf
-        if breakdown is not None and "total" not in breakdown:
-            breakdown = {
-                **{k: v / mttsf for k, v in breakdown.items()},
-                "total": ctotal,
-            }
-        return GCSResult(
-            params=self.params,
-            mttsf_s=mttsf,
-            ctotal_hop_bits_s=ctotal,
-            failure_probabilities=probs,
-            channel_utilization=cost_model.channel_utilization(ctotal),
-            num_states=n_states,
-            solver=solver,
-            build_seconds=build_s,
-            solve_seconds=solve_s,
-            cost_breakdown=breakdown,
-            mttsf_std_s=mttsf_std,
-        )
-
-
 def evaluate(
     params: GCSParameters,
     network: Optional[NetworkModel] = None,
@@ -394,14 +135,179 @@ def evaluate(
     use_mobility: bool = False,
     seed: Optional[int] = None,
 ) -> GCSResult:
-    """One-shot convenience wrapper around :class:`GCSEvaluation`."""
+    """Evaluate one scenario.
+
+    ``method``: ``"fast"`` (vectorised lattice, decoupled groups — the
+    default), ``"spn"`` (generic Figure 1 SPN, decoupled), or
+    ``"spn-coupled"`` (``NG`` embedded in the marking; cyclic chain,
+    linear solver — small ``N`` only). The fast method is the one-point
+    call of :func:`evaluate_batch`, so one scenario gets the same bytes
+    alone or in any batch.
+
+    ``include_variance`` additionally computes the exact standard
+    deviation of the time to security failure (one extra solver sweep)
+    and ``include_breakdown`` the per-component cost split; both are
+    fast-method only.
+    """
     net = resolve_network(params, network, use_mobility=use_mobility, seed=seed)
-    engine = GCSEvaluation(params, net)
-    return engine.run(
-        method=method,
+    if method != "fast":
+        return _evaluate_spn(
+            params,
+            net,
+            method=method,
+            include_breakdown=include_breakdown,
+            include_variance=include_variance,
+            sizes=sizes,
+        )
+    ((result, error),) = evaluate_batch_outcomes(
+        [(params, net)],
         include_breakdown=include_breakdown,
         include_variance=include_variance,
         sizes=sizes,
+    )
+    if error is not None:
+        raise error
+    return result
+
+
+def _cost_model(
+    params: GCSParameters, network: NetworkModel, sizes: Optional[MessageSizes]
+) -> tuple[GCSCostModel, float]:
+    """The scenario's cost model and its expected group count ``E[NG]``."""
+    bd = BirthDeathProcess.for_group_count(
+        network.partition_rate_hz, network.merge_rate_hz, params.groups.max_groups
+    )
+    cost_model = GCSCostModel(
+        params, network, sizes=sizes, ng_distribution=bd.level_distribution()
+    )
+    return cost_model, bd.mean_level()
+
+
+def _package(
+    params: GCSParameters,
+    cost_model: GCSCostModel,
+    *,
+    mttsf: float,
+    accumulated_cost: float,
+    probabilities: dict[str, float],
+    num_states: int,
+    solver: str,
+    build_seconds: float,
+    solve_seconds: float,
+    breakdown: Optional[dict[str, float]] = None,
+    mttsf_std: Optional[float] = None,
+) -> GCSResult:
+    """A :class:`GCSResult` from one solve's initial-marking values.
+
+    ``breakdown`` holds each cost component's accumulated cost; it is
+    reported per unit of MTTSF, next to the ``"total"`` Ĉtotal.
+    """
+    if mttsf <= 0.0:
+        raise ParameterError(
+            "MTTSF evaluated to zero: the initial marking is already failed"
+        )
+    ctotal = accumulated_cost / mttsf
+    if breakdown is not None:
+        breakdown = {name: value / mttsf for name, value in breakdown.items()}
+        breakdown["total"] = ctotal
+    return GCSResult(
+        params=params,
+        mttsf_s=mttsf,
+        ctotal_hop_bits_s=ctotal,
+        failure_probabilities=probabilities,
+        channel_utilization=cost_model.channel_utilization(ctotal),
+        num_states=num_states,
+        solver=solver,
+        build_seconds=build_seconds,
+        solve_seconds=solve_seconds,
+        cost_breakdown=breakdown,
+        mttsf_std_s=mttsf_std,
+    )
+
+
+def _evaluate_spn(
+    params: GCSParameters,
+    network: NetworkModel,
+    *,
+    method: str,
+    include_breakdown: bool,
+    include_variance: bool,
+    sizes: Optional[MessageSizes],
+) -> GCSResult:
+    """Solve one scenario through the generic Figure 1 SPN.
+
+    The SPN methods exist to cross-validate the lattice, so they take
+    no breakdown and no variance; both are refused before any build.
+    """
+    if method not in ("spn", "spn-coupled"):
+        raise ParameterError(f"method must be fast|spn|spn-coupled, got {method!r}")
+    if include_variance:
+        raise ParameterError("include_variance is only supported by the fast method")
+    if include_breakdown:
+        raise ParameterError(
+            "include_breakdown is only supported by the fast method; "
+            "the SPN paths exist for cross-validation"
+        )
+    coupled = method == "spn-coupled"
+    t0 = time.perf_counter()
+    cost_model, expected_groups = _cost_model(params, network, sizes)
+    rates = GCSRates.from_scenario(
+        params, network, expected_groups=1.0 if coupled else expected_groups
+    )
+    net = build_gcs_spn(params, network, rates=rates, coupled_groups=coupled)
+
+    if coupled:
+        context = cost_model.context
+
+        def cost_fn(m):
+            return context.component_rates(
+                m["Tm"],
+                m["UCm"],
+                m["DCm"],
+                max(m["NG"], 1),
+                detection=cost_model.detection,
+                voting=cost_model.voting,
+            ).total
+
+    else:
+
+        def cost_fn(m):
+            return cost_model.state_cost_rate(m["Tm"], m["UCm"], m["DCm"])
+
+    def c1(m):
+        return m["GF"] > 0
+
+    def c2(m):
+        t, u = m["Tm"], m["UCm"]
+        return m["GF"] == 0 and u > 0 and 2 * u > t
+
+    def dep(m):
+        return m["GF"] == 0 and m["Tm"] + m["UCm"] == 0 and m["DCm"] == 0
+
+    build_s = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    analysis = analyze_spn(
+        net,
+        rewards={"cost": cost_fn},
+        absorbing_classes={
+            "c1_data_leak": c1,
+            "c2_byzantine": c2,
+            "depletion": dep,
+        },
+    )
+    solve_s = time.perf_counter() - t1
+    return _package(
+        params,
+        cost_model,
+        mttsf=analysis.mtta,
+        accumulated_cost=analysis.expected_reward("cost"),
+        probabilities={
+            str(cls): analysis.absorption_probability(str(cls)) for cls in FailureClass
+        },
+        num_states=analysis.chain.num_states,
+        solver=f"spn/{analysis.solution.method}",
+        build_seconds=build_s,
+        solve_seconds=solve_s,
     )
 
 
@@ -457,27 +363,20 @@ def _prepare_point(
     include_breakdown: bool,
     sizes: Optional[MessageSizes],
 ) -> _PreparedPoint:
-    """Mirror of :meth:`GCSEvaluation._run_fast`'s build stage."""
+    """Build one point's cost model, reward columns and rate fill."""
     t0 = time.perf_counter()
     # Costs first: the cost model checks the network against the
-    # parameters before any rate is filled, as on the per-point path.
+    # parameters before any rate is filled.
     with span("prepare.costs"):
         net = resolve_network(params, network)
-        bd = BirthDeathProcess.for_group_count(
-            net.partition_rate_hz,
-            net.merge_rate_hz,
-            params.groups.max_groups,
-        )
-        cost_model = GCSCostModel(
-            params, net, sizes=sizes, ng_distribution=bd.level_distribution()
-        )
+        cost_model, expected_groups = _cost_model(params, net, sizes)
         costs = lattice_pair_costs(
             structure, cost_model, per_component=include_breakdown
         )
-        # Reward columns as the per-point path assembles them, per pair:
-        # the C1 state accrues nothing, and with a breakdown the total
-        # is its own solved column (not the sum of the component
-        # solutions), summed per pair in the per-state order.
+        # Reward columns per pair: the C1 state accrues nothing, and
+        # with a breakdown the total is its own solved column (not the
+        # sum of the component solutions), summed component by
+        # component.
         rewards: list[np.ndarray] = []
         breakdown_names: Optional[list[str]] = None
         if include_breakdown:
@@ -491,7 +390,7 @@ def _prepare_point(
         else:
             rewards.append(np.append(costs, 0.0))
     with span("prepare.rates"):
-        rates = GCSRates.from_scenario(params, net, expected_groups=bd.mean_level())
+        rates = GCSRates.from_scenario(params, net, expected_groups=expected_groups)
         fill = fill_transition_rates(structure, rates)
     return _PreparedPoint(
         index=index,
@@ -589,44 +488,33 @@ def _package_point(
     m2: Optional[np.ndarray],
     solve_seconds: float,
 ) -> GCSResult:
-    """Mirror of :meth:`GCSEvaluation._package` for one solved column set."""
-    init = structure.solve_initial
+    """Package one point's solved ``(n, k)`` columns (and ``m2``)."""
+    row = x[structure.solve_initial].tolist()
     n_rewards = len(point.rewards)
-    mttsf = float(x[init, 0])
-    if mttsf <= 0.0:
-        raise ParameterError(
-            "MTTSF evaluated to zero: the initial marking is already failed"
-        )
-    accumulated_cost = float(x[init, n_rewards])  # last reward column
-    ctotal = accumulated_cost / mttsf
-    probs = {
-        str(FailureClass.C1_DATA_LEAK): float(x[init, 1 + n_rewards]),
-        str(FailureClass.C2_BYZANTINE): float(x[init, 2 + n_rewards]),
-        str(FailureClass.DEPLETION): float(x[init, 3 + n_rewards]),
-    }
+    mttsf = row[0]
     breakdown: Optional[dict[str, float]] = None
     if point.breakdown_names is not None:
-        breakdown = {
-            name: float(x[init, 1 + i]) / mttsf
-            for i, name in enumerate(point.breakdown_names)
-        }
-        breakdown["total"] = ctotal
+        breakdown = dict(zip(point.breakdown_names, row[1:n_rewards]))
     mttsf_std: Optional[float] = None
     if m2 is not None:
-        variance = max(float(m2[init]) - mttsf**2, 0.0)
+        variance = max(float(m2[structure.solve_initial]) - mttsf**2, 0.0)
         mttsf_std = float(np.sqrt(variance))
-    return GCSResult(
-        params=point.params,
-        mttsf_s=mttsf,
-        ctotal_hop_bits_s=ctotal,
-        failure_probabilities=probs,
-        channel_utilization=point.cost_model.channel_utilization(ctotal),
+    return _package(
+        point.params,
+        point.cost_model,
+        mttsf=mttsf,
+        accumulated_cost=row[n_rewards],  # last reward column
+        probabilities={
+            str(FailureClass.C1_DATA_LEAK): row[1 + n_rewards],
+            str(FailureClass.C2_BYZANTINE): row[2 + n_rewards],
+            str(FailureClass.DEPLETION): row[3 + n_rewards],
+        },
         num_states=structure.num_states,
         solver="acyclic-batch",
         build_seconds=point.build_seconds,
         solve_seconds=solve_seconds,
-        cost_breakdown=breakdown,
-        mttsf_std_s=mttsf_std,
+        breakdown=breakdown,
+        mttsf_std=mttsf_std,
     )
 
 
@@ -661,16 +549,16 @@ def evaluate_batch_outcomes(
 
     if method != "fast":
         # Only the fast lattice path has a shared structure to amortise;
-        # SPN requests fall back to the per-point pipeline.
+        # the SPN methods solve point by point.
         for i, pair in enumerate(pairs):
             if pair is None:
                 continue
             params, network = pair
             try:
                 outcomes[i] = (
-                    evaluate(
+                    _evaluate_spn(
                         params,
-                        network,
+                        resolve_network(params, network),
                         method=method,
                         include_breakdown=include_breakdown,
                         include_variance=include_variance,
@@ -993,13 +881,13 @@ def evaluate_batch(
 ) -> list[GCSResult]:
     """Evaluate many scenarios with one structure-sharing solver sweep.
 
-    The batched counterpart of :func:`evaluate`: grid points are
-    grouped by ``num_nodes`` (each group shares one cached lattice
-    structure), their rate fills are stacked, and a single multi-point
-    level-scheduled backward sweep solves every point simultaneously —
-    including the variance sweep when ``include_variance`` is set.
-    Results are **bit-identical** to calling :func:`evaluate` per point
-    (asserted by the test suite) and come back in input order.
+    Grid points are grouped by ``num_nodes`` (each group shares one
+    cached lattice structure), their rate fills are stacked, and a
+    single multi-point level-scheduled backward sweep solves every
+    point simultaneously — including the variance sweep when
+    ``include_variance`` is set. No step mixes points, so each result
+    equals :func:`evaluate` (its one-point call) on that point with
+    ``==``; results come back in input order.
 
     Raises the first per-point failure, matching the exception
     semantics of a serial loop; use :func:`evaluate_batch_outcomes`

@@ -22,7 +22,7 @@ from ..errors import ParameterError
 from ..manet.network import NetworkModel
 from ..params import GCSParameters
 from ..validation import require_sorted_unique
-from .metrics import GCSEvaluation, evaluate_batch, resolve_network
+from .metrics import evaluate_batch, resolve_network
 from .results import GCSResult
 
 __all__ = [
@@ -105,32 +105,24 @@ def tradeoff_curve(
     network: Optional[NetworkModel] = None,
     method: str = "fast",
     progress: Optional[Callable[[TradeoffPoint], None]] = None,
-    workers: Optional[str] = None,
 ) -> list[TradeoffPoint]:
     """Evaluate the scenario at every ``TIDS`` in the grid.
 
     The network/mobility stage is resolved once and shared across the
-    sweep (the detection interval does not affect mobility).
-
-    ``workers=None`` evaluates the grid point by point;
-    ``workers="vector"`` solves the whole grid in one structure-sharing
-    batched sweep (:func:`repro.core.metrics.evaluate_batch`) —
-    bit-identical results, typically much faster because the win is
-    algorithmic. Results come back in grid order either way. For a
+    sweep (the detection interval does not affect mobility), and the
+    whole grid is solved in one structure-sharing batched sweep
+    (:func:`repro.core.metrics.evaluate_batch`). Results come back in
+    grid order, and ``progress`` sees each point in that order. For a
     parallel, cached sweep use the engine instead:
     ``run_tids_sweep(make_runner("vector:N"), params, grid)``
     (:func:`repro.engine.batch.run_tids_sweep`).
     """
-    if workers not in (None, "vector"):
-        raise ParameterError(f"workers must be None or 'vector', got {workers!r}")
     grid = require_sorted_unique("tids_grid_s", tids_grid_s)
     net = resolve_network(params, network)
-
-    tids_params = [params.replacing(detection_interval_s=float(t)) for t in grid]
-    if workers == "vector":
-        results = evaluate_batch([(p, net) for p in tids_params], method=method)
-    else:  # lazily, so progress fires as each point finishes
-        results = (GCSEvaluation(p, net).run(method=method) for p in tids_params)
+    results = evaluate_batch(
+        [(params.replacing(detection_interval_s=float(t)), net) for t in grid],
+        method=method,
+    )
     points: list[TradeoffPoint] = []
     for tids, result in zip(grid, results):
         point = TradeoffPoint(tids_s=float(tids), result=result)
@@ -197,7 +189,6 @@ def optimize_tids(
     cost_ceiling_hop_bits_s: Optional[float] = None,
     network: Optional[NetworkModel] = None,
     method: str = "fast",
-    workers: Optional[str] = None,
 ) -> OptimizationResult:
     """Pick the best ``TIDS`` on a grid.
 
@@ -208,15 +199,12 @@ def optimize_tids(
       satisfying imposed performance requirements");
     * ``"min-ctotal"`` — minimise Ĉtotal (Figure 3/5 reading).
 
-    ``workers`` follows :func:`tradeoff_curve` — ``"vector"`` solves
-    the grid in one structure-sharing batched sweep.
+    The grid is solved by :func:`tradeoff_curve`.
     """
     # Validate before evaluating so bad objectives fail fast.
     _validate_objective(objective, cost_ceiling_hop_bits_s)
 
-    curve = tradeoff_curve(
-        params, tids_grid_s, network=network, method=method, workers=workers
-    )
+    curve = tradeoff_curve(params, tids_grid_s, network=network, method=method)
     return select_optimum(
         curve,
         objective=objective,

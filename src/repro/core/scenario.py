@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from ..manet.network import NetworkModel
 from ..params import GCSParameters
-from .metrics import GCSEvaluation, resolve_network
+from .metrics import evaluate, resolve_network
 from .optimizer import OptimizationResult, TradeoffPoint, optimize_tids, tradeoff_curve
 from .results import GCSResult
 
@@ -55,8 +55,9 @@ class Scenario:
         """Evaluate the scenario, optionally with parameter overrides
         (same keywords as :meth:`GCSParameters.replacing`)."""
         params = self.params.replacing(**overrides) if overrides else self.params
-        engine = GCSEvaluation(params, self.network)
-        return engine.run(
+        return evaluate(
+            params,
+            self.network,
             method=method,
             include_breakdown=include_breakdown,
             include_variance=include_variance,

@@ -163,14 +163,14 @@ def analyze_absorbing(
     if absorbing_classes is None:
         absorbing_classes = {"absorbed": absorbing_idx.tolist()}
     class_members: dict[str, np.ndarray] = {}
-    absorbing_set = set(int(i) for i in absorbing_idx)
     for name, members in absorbing_classes.items():
         arr = np.unique(np.asarray(list(members), dtype=int))
-        for s in arr:
-            if int(s) not in absorbing_set:
-                raise ParameterError(
-                    f"absorbing class {name!r} contains non-absorbing state {int(s)}"
-                )
+        ok = (arr >= 0) & (arr < n) & chain.absorbing_mask[np.clip(arr, 0, n - 1)]
+        if not ok.all():
+            raise ParameterError(
+                f"absorbing class {name!r} contains non-absorbing state "
+                f"{int(arr[~ok][0])}"
+            )
         class_members[name] = arr
 
     # --- restrict to the reachable set; verify almost-sure absorption ---
@@ -199,12 +199,11 @@ def analyze_absorbing(
     for c, name in enumerate(reward_names, start=1):
         numer[:, c] = rewards[name][idx_map]
         numer[~transient_mask, c] = 0.0
-    orig_to_sub = {int(orig): s for s, orig in enumerate(idx_map)}
+    sub_of = np.full(n, -1, dtype=np.int64)
+    sub_of[idx_map] = np.arange(nn)
     for c, name in enumerate(class_names, start=1 + len(reward_names)):
-        for orig in class_members[name]:
-            s = orig_to_sub.get(int(orig))
-            if s is not None:
-                bound[s, c] = 1.0
+        rows = sub_of[class_members[name]]
+        bound[rows[rows >= 0], c] = 1.0
 
     # --- choose solver ---
     structure = None

@@ -59,43 +59,67 @@ class DagStructure:
         return len(self.level_states)
 
 
-def topological_levels(chain: CTMC) -> Optional[DagStructure]:
-    """Compute topological levels of ``chain``, or ``None`` if cyclic.
+def _level_schedule(
+    indptr: np.ndarray, indices: np.ndarray
+) -> Optional[tuple[DagStructure, np.ndarray, np.ndarray]]:
+    """Longest-path levels of a CSR pattern, or ``None`` if it has a cycle.
 
-    Kahn's algorithm on out-degrees: states whose successors are all
-    finalised are peeled off level by level. If a cycle exists some
-    states are never peeled and ``None`` is returned (callers fall back
-    to the general linear solver).
+    Level-synchronous Kahn on out-degrees: wave ``L`` processes exactly
+    the states whose longest path to an out-degree-zero state is ``L``,
+    so levels fall out of the wave index; everything per wave is array
+    arithmetic on the wave's predecessors, never on all ``n`` states. A
+    cycle leaves some states unprocessed. Returns ``(structure, order,
+    bounds)``: the states sorted stably by level, level ``L`` being
+    ``order[bounds[L]:bounds[L + 1]]``.
     """
-    R = chain.rates
-    n = chain.num_states
-    remaining = np.diff(R.indptr).astype(np.int64)  # out-degree per state
-    levels = np.zeros(n, dtype=np.int64)
-    Rcsc = R.tocsc()
-    pred_indptr, pred_indices = Rcsc.indptr, Rcsc.indices
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    rows_of_slot = np.repeat(np.arange(n, dtype=np.int64), deg)
+    # Predecessor lists: the CSC view of the pattern.
+    pred_rows = rows_of_slot[np.argsort(indices, kind="stable")]
+    pred_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=pred_indptr[1:])
 
-    ready = [int(s) for s in np.flatnonzero(remaining == 0)]
-    processed = 0
-    # Longest-path levels: a predecessor's level is 1 + max over successors.
-    while ready:
-        v = ready.pop()
-        processed += 1
-        lv = levels[v] + 1
-        for u in pred_indices[pred_indptr[v] : pred_indptr[v + 1]]:
-            if levels[u] < lv:
-                levels[u] = lv
-            remaining[u] -= 1
-            if remaining[u] == 0:
-                ready.append(int(u))
+    remaining = deg.astype(np.int64)
+    levels = np.zeros(n, dtype=np.int64)
+    current = np.flatnonzero(remaining == 0)
+    processed = current.size
+    level = 0
+    while True:
+        starts = pred_indptr[current]
+        lens = pred_indptr[current + 1] - starts
+        total = int(lens.sum())
+        if total == 0:
+            break
+        # Ragged gather of every predecessor slot of the current wave.
+        offsets = np.repeat(np.cumsum(lens) - lens, lens)
+        preds = pred_rows[np.repeat(starts, lens) + (np.arange(total) - offsets)]
+        level += 1
+        levels[preds] = level
+        candidates, counts = np.unique(preds, return_counts=True)
+        remaining[candidates] -= counts
+        current = candidates[remaining[candidates] == 0]
+        processed += current.size
     if processed != n:
         return None
 
     depth = int(levels.max()) + 1 if n else 0
     order = np.argsort(levels, kind="stable")
-    sorted_levels = levels[order]
-    boundaries = np.searchsorted(sorted_levels, np.arange(depth + 1))
-    level_states = [order[boundaries[L] : boundaries[L + 1]] for L in range(depth)]
-    return DagStructure(levels=levels, level_states=level_states)
+    bounds = np.searchsorted(levels[order], np.arange(depth + 1))
+    level_states = [order[bounds[L] : bounds[L + 1]] for L in range(depth)]
+    return DagStructure(levels=levels, level_states=level_states), order, bounds
+
+
+def topological_levels(chain: CTMC) -> Optional[DagStructure]:
+    """Compute topological levels of ``chain``, or ``None`` if cyclic.
+
+    States whose successors are all finalised are peeled off level by
+    level. If a cycle exists some states are never peeled and ``None``
+    is returned (callers fall back to the general linear solver).
+    """
+    R = chain.rates
+    schedule = _level_schedule(R.indptr, R.indices)
+    return None if schedule is None else schedule[0]
 
 
 def solve_dag(
@@ -232,54 +256,19 @@ def batch_dag_structure(
     ell_slots[rows_of_slot, pos_in_row] = np.arange(nnz, dtype=np.int64)
     ell_cols[rows_of_slot, pos_in_row] = indices
 
-    # Predecessor lists (CSC view of the pattern) for the level sweep.
-    order = np.argsort(indices, kind="stable")
-    pred_rows = rows_of_slot[order]
-    pred_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(indices, minlength=n), out=pred_indptr[1:])
-
-    # Level-synchronous Kahn: wave L processes exactly the states whose
-    # longest path to an out-degree-zero state is L, so levels fall out
-    # of the wave index; everything per wave is array arithmetic on the
-    # wave's predecessors, never on all n states.
-    remaining = deg.copy()
-    levels = np.zeros(n, dtype=np.int64)
-    current = np.flatnonzero(remaining == 0)
-    processed = current.size
-    level = 0
-    while True:
-        starts = pred_indptr[current]
-        lens = pred_indptr[current + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            break
-        # Ragged gather of every predecessor slot of the current wave.
-        offsets = np.repeat(np.cumsum(lens) - lens, lens)
-        flat = np.repeat(starts, lens) + (np.arange(total) - offsets)
-        preds = pred_rows[flat]
-        level += 1
-        levels[preds] = level
-        candidates, counts = np.unique(preds, return_counts=True)
-        remaining[candidates] -= counts
-        current = candidates[remaining[candidates] == 0]
-        processed += current.size
-    if processed != n:
+    schedule = _level_schedule(indptr, indices)
+    if schedule is None:
         raise SolverError("pattern is cyclic; batched DAG solve not applicable")
-
-    depth = int(levels.max()) + 1 if n else 0
-    order_l = np.argsort(levels, kind="stable")
-    sorted_levels = levels[order_l]
-    boundaries = np.searchsorted(sorted_levels, np.arange(depth + 1))
-    level_states = [order_l[boundaries[L] : boundaries[L + 1]] for L in range(depth)]
+    structure, order, bounds = schedule
 
     return BatchDagStructure(
         indptr=indptr,
         indices=indices,
-        structure=DagStructure(levels=levels, level_states=level_states),
+        structure=structure,
         width=width,
-        lvl_row_bounds=boundaries,
-        lvl_ell_slots=ell_slots[order_l],
-        lvl_ell_cols=ell_cols[order_l],
+        lvl_row_bounds=bounds,
+        lvl_ell_slots=ell_slots[order],
+        lvl_ell_cols=ell_cols[order],
     )
 
 

@@ -15,6 +15,7 @@ from typing import Hashable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from ..errors import ModelError, ParameterError, SolverError
 
@@ -188,38 +189,14 @@ class CTMC:
     # ------------------------------------------------------------------
     def reachable_from(self, initial: Union[int, Sequence[int]]) -> np.ndarray:
         """Indices of states reachable from ``initial`` (inclusive)."""
-        seeds = np.atleast_1d(np.asarray(initial, dtype=int))
-        if seeds.size and (seeds.min() < 0 or seeds.max() >= self.num_states):
-            raise ParameterError(f"initial state out of range: {initial!r}")
-        seen = np.zeros(self.num_states, dtype=bool)
-        stack = list(seeds)
-        seen[seeds] = True
-        indptr, indices = self._R.indptr, self._R.indices
-        while stack:
-            s = stack.pop()
-            for j in indices[indptr[s] : indptr[s + 1]]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        return np.flatnonzero(seen)
+        return np.flatnonzero(_reached(self._R.indptr, self._R.indices, initial))
 
     def can_reach(self, targets: Sequence[int]) -> np.ndarray:
         """Boolean mask of states from which some state in ``targets``
         is reachable (following transition direction)."""
-        targets = np.atleast_1d(np.asarray(targets, dtype=int))
-        mask = np.zeros(self.num_states, dtype=bool)
-        mask[targets] = True
-        # Walk the reversed graph from the targets.
-        Rt = self._R.tocsc()
-        stack = list(targets)
-        indptr, indices = Rt.indptr, Rt.indices
-        while stack:
-            s = stack.pop()
-            for i in indices[indptr[s] : indptr[s + 1]]:
-                if not mask[i]:
-                    mask[i] = True
-                    stack.append(int(i))
-        return mask
+        # Walk the reversed graph: the CSC arrays are the transpose's CSR.
+        reverse = self._R.tocsc()
+        return _reached(reverse.indptr, reverse.indices, targets)
 
     def subchain(self, states: Sequence[int]) -> Tuple["CTMC", np.ndarray]:
         """Restrict the chain to ``states``.
@@ -268,6 +245,31 @@ class CTMC:
             f"CTMC(n={self.num_states}, transitions={self.num_transitions}, "
             f"absorbing={int(self.absorbing_mask.sum())})"
         )
+
+
+def _reached(
+    indptr: np.ndarray, indices: np.ndarray, seeds: Union[int, Sequence[int]]
+) -> np.ndarray:
+    """Mask of the states a walk along a CSR pattern reaches from ``seeds``.
+
+    ``indptr``/``indices`` list each state's neighbours (a CSR pattern
+    for successors, a CSC one for predecessors). One breadth-first
+    search runs from a virtual source ``n`` joined to every seed.
+    """
+    n = indptr.size - 1
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    bad = seeds[(seeds < 0) | (seeds >= n)]
+    if bad.size:
+        raise ParameterError(f"state {int(bad[0])} out of range for {n} states")
+    indices = np.concatenate([indices, seeds])
+    indptr = np.append(indptr, indices.size)
+    graph = sp.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1)
+    )
+    order = breadth_first_order(graph, n, directed=True, return_predecessors=False)
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[order] = True
+    return reached[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,10 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
 from ..errors import ParameterError, SolverError
 from ..obs import metrics, span
-from .chain import CTMC, _validate_pattern, _validate_rates
+from .chain import CTMC, _reached, _validate_pattern, _validate_rates
 from .poisson import poisson_weights
 
 log = logging.getLogger(__name__)
@@ -395,16 +394,9 @@ def _reachable_pattern(
     deg = np.diff(indptr)
     slot_rows = np.repeat(np.arange(n, dtype=np.int64), deg)
     follow = kept[slot_rows]
-    graph_indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.where(kept, deg, 0), out=graph_indptr[1:-1])
-    graph_indptr[-1] = graph_indptr[-2] + start.size
-    graph_indices = np.concatenate([indices[follow], start])
-    graph = sp.csr_matrix(
-        (np.ones(graph_indices.size), graph_indices, graph_indptr),
-        shape=(n + 1, n + 1),
-    )
-    order = breadth_first_order(graph, n, directed=True, return_predecessors=False)
-    states = np.sort(order[1:])
+    kept_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.where(kept, deg, 0), out=kept_indptr[1:])
+    states = np.flatnonzero(_reached(kept_indptr, indices[follow], start))
     position = np.full(n, -1, dtype=np.int64)
     position[states] = np.arange(states.size)
     slots = np.flatnonzero(follow & (position[slot_rows] >= 0))

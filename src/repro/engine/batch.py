@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ..core.metrics import (
-    GCSEvaluation,
-    evaluate_survivability,
-    resolve_network,
-)
+from ..core.metrics import evaluate, evaluate_survivability, resolve_network
 from ..core.optimizer import TradeoffPoint
 from ..core.results import GCSResult, SurvivabilityResult
 from ..errors import ExperimentError, ParameterError
@@ -88,9 +84,9 @@ class EvalRequest:
 
 def evaluate_request(request: EvalRequest) -> GCSResult:
     """Evaluate one request (module level: process pools pickle it)."""
-    network = resolve_network(request.params, request.network)
-    engine = GCSEvaluation(request.params, network)
-    return engine.run(
+    return evaluate(
+        request.params,
+        request.network,
         method=request.method,
         include_breakdown=request.include_breakdown,
         include_variance=request.include_variance,
@@ -607,12 +603,12 @@ def run_tids_sweep(
     """Engine-backed equivalent of :meth:`Scenario.sweep_tids`.
 
     Builds one :class:`EvalRequest` per grid value (applying
-    ``overrides`` first, then the ``TIDS`` value, exactly like the
-    serial path in :func:`repro.core.optimizer.tradeoff_curve`), runs
-    them as one batch and returns :class:`TradeoffPoint` objects in
-    grid order. Raises on any point failure, and applies the same
-    sorted-unique grid validation, matching the serial sweep's
-    semantics.
+    ``overrides`` first, then the ``TIDS`` value, exactly like
+    :func:`repro.core.optimizer.tradeoff_curve`), runs them as one
+    batch through the runner's cache and backend and returns
+    :class:`TradeoffPoint` objects in grid order. Raises on any point
+    failure, and applies the same sorted-unique grid validation as
+    ``tradeoff_curve``; every backend gives it the same bytes.
     """
     tids_grid_s = require_sorted_unique("tids_grid_s", tids_grid_s)
     base = params.replacing(**dict(overrides)) if overrides else params

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-from ..core.metrics import GCSEvaluation, resolve_network
+from ..core.metrics import evaluate, resolve_network
 from ..core.results import GCSResult
 from ..errors import ParameterError
 from ..manet.network import NetworkModel
@@ -126,5 +126,5 @@ def compare_with_model(
     summary = run_replications(
         params, replications=replications, mode=mode, network=net, seed=seed
     )
-    analytic = GCSEvaluation(params, net).run(method="fast")
+    analytic = evaluate(params, net)
     return ModelComparison(simulation=summary, analytic=analytic)

@@ -1,15 +1,15 @@
 """Structure-sharing batched lattice solver: bit-identity + routing.
 
-The batched path must be *bit-identical* to the per-point fast path —
-not approximately equal — across the paper's figure grids, including
-the variance sweep and the cost breakdown. These tests pin that
-contract at a reduced ``N`` (the arithmetic is size-independent; the
-quick-campaign equality is asserted by
-``benchmarks/bench_batch_solver.py`` and the N = 100 campaign is
-pinned by ``perfbench/reference/paper-full.json``), and cover the
-engine routing: ``VectorBackend`` / ``--jobs vector``, cache hit/miss
-parity across serial, vector and vector:N, ``tradeoff_curve(workers="vector")``
-and ``model_grid_sweep``.
+The batched path must be *bit-identical* — not approximately equal —
+to an independent per-point oracle (:func:`_lattice_oracle`:
+``analyze_absorbing`` on the full lattice chain) across the paper's
+figure grids, including the variance sweep and the cost breakdown.
+These tests pin that contract at a reduced ``N`` (the arithmetic is
+size-independent; the N = 100 campaign is pinned by
+``perfbench/reference/paper-full.json``), and cover the engine
+routing: ``VectorBackend`` / ``--jobs vector``, cache hit/miss parity
+across serial, vector and vector:N, ``tradeoff_curve`` and
+``model_grid_sweep``.
 """
 
 import itertools
@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 
 from repro import constants as C
 from repro.analysis.sweep import model_grid_sweep
+from repro.core.failure import FailureClass
 from repro.core.fastpath import (
     build_lattice_chain,
     clear_structure_cache,
     fill_transition_rates,
+    lattice_state_costs,
     lattice_structure,
 )
 from repro.core.metrics import (
@@ -34,8 +36,11 @@ from repro.core.metrics import (
     evaluate_batch_outcomes,
     resolve_network,
 )
-from repro.core.optimizer import optimize_tids, tradeoff_curve
+from repro.core.optimizer import tradeoff_curve
 from repro.core.rates import GCSRates
+from repro.core.results import GCSResult
+from repro.costs.aggregate import GCSCostModel
+from repro.ctmc.absorbing import analyze_absorbing
 from repro.ctmc.acyclic import (
     _out_rates,
     batch_dag_structure,
@@ -43,6 +48,7 @@ from repro.ctmc.acyclic import (
     solve_dag_batch,
     topological_levels,
 )
+from repro.ctmc.birth_death import BirthDeathProcess
 from repro.ctmc.chain import CTMC
 from repro.engine import (
     BatchRunner,
@@ -79,6 +85,78 @@ def _fig4_scenarios() -> list[GCSParameters]:
         for fn in ("logarithmic", "linear", "polynomial")
         for tids in C.PAPER_TIDS_GRID_S
     ]
+
+
+def _lattice_oracle(
+    params, network=None, *, include_breakdown=False, include_variance=False
+):
+    """One point solved per point: ``analyze_absorbing`` on the full chain.
+
+    It takes the same rate fill and cost vector as the batched pipeline
+    but none of its solve or packaging code — no solve space, no shared
+    sweep: it builds the whole lattice chain, walks it with the generic
+    CTMC API and assembles its own :class:`GCSResult`. The reward
+    columns are per state: the C1 state accrues nothing, and with a
+    breakdown the total is its own solved column.
+    """
+    net = resolve_network(params, network)
+    bd = BirthDeathProcess.for_group_count(
+        net.partition_rate_hz, net.merge_rate_hz, params.groups.max_groups
+    )
+    cost_model = GCSCostModel(params, net, ng_distribution=bd.level_distribution())
+    lattice = build_lattice_chain(params, net, expected_groups=bd.mean_level())
+    costs = lattice_state_costs(
+        lattice_structure(params.num_nodes),
+        cost_model,
+        per_component=include_breakdown,
+    )
+    rewards = {}
+    if include_breakdown:
+        total = np.zeros(lattice.num_states)
+        for name, vec in costs.items():
+            padded = np.append(vec, 0.0)
+            rewards[name] = padded
+            total += padded
+        rewards["cost"] = total
+    else:
+        rewards["cost"] = np.append(costs, 0.0)
+    solution = analyze_absorbing(
+        lattice.chain,
+        initial=lattice.initial_state,
+        rewards=rewards,
+        absorbing_classes=lattice.absorbing_classes(),
+        second_moment=include_variance,
+    )
+    mttsf = solution.mtta
+    ctotal = solution.expected_reward("cost") / mttsf
+    breakdown = None
+    if include_breakdown:
+        breakdown = {
+            name: solution.expected_reward(name) / mttsf
+            for name in rewards
+            if name != "cost"
+        }
+        breakdown["total"] = ctotal
+    return GCSResult(
+        params=params,
+        mttsf_s=mttsf,
+        ctotal_hop_bits_s=ctotal,
+        failure_probabilities={
+            str(cls): solution.absorption_probability(str(cls))
+            for cls in (
+                FailureClass.C1_DATA_LEAK,
+                FailureClass.C2_BYZANTINE,
+                FailureClass.DEPLETION,
+            )
+        },
+        channel_utilization=cost_model.channel_utilization(ctotal),
+        num_states=lattice.num_states,
+        solver=f"oracle/{solution.method}",
+        build_seconds=0.0,
+        solve_seconds=0.0,
+        cost_breakdown=breakdown,
+        mttsf_std_s=solution.mtta_std if include_variance else None,
+    )
 
 
 def _assert_identical(batch_result, point_result, *, variance=False):
@@ -600,7 +678,7 @@ class TestEvaluateBatchBitIdentical:
         scenarios = _fig2_scenarios()
         batch = evaluate_batch(scenarios)
         for scenario, result in zip(scenarios, batch):
-            _assert_identical(result, evaluate(scenario))
+            _assert_identical(result, _lattice_oracle(scenario))
 
     @pytest.mark.parametrize(
         "max_batch_bytes", [DEFAULT_BATCH_BYTES, 1], ids=["default", "1"]
@@ -614,14 +692,16 @@ class TestEvaluateBatchBitIdentical:
         )
         for scenario, result in zip(scenarios, batch):
             _assert_identical(
-                result, evaluate(scenario, include_variance=True), variance=True
+                result,
+                _lattice_oracle(scenario, include_variance=True),
+                variance=True,
             )
 
     def test_breakdown_parity(self):
         scenarios = _fig2_scenarios()[:4]
         batch = evaluate_batch(scenarios, include_breakdown=True)
         for scenario, result in zip(scenarios, batch):
-            point = evaluate(scenario, include_breakdown=True)
+            point = _lattice_oracle(scenario, include_breakdown=True)
             _assert_identical(result, point)
             assert dict(result.cost_breakdown) == dict(point.cost_breakdown)
 
@@ -636,13 +716,27 @@ class TestEvaluateBatchBitIdentical:
             for tids in (15.0, 60.0, 240.0)
         ]
         for scenario, result in zip(scenarios, evaluate_batch(scenarios)):
-            _assert_identical(result, evaluate(scenario))
+            _assert_identical(result, _lattice_oracle(scenario))
+
+    @pytest.mark.parametrize("variance", [False, True])
+    @pytest.mark.parametrize("breakdown", [False, True])
+    def test_evaluate_is_the_one_point_batch(self, variance, breakdown):
+        # evaluate() is evaluate_batch's P = 1 call: alone or among
+        # batch mates, a point gets the oracle's bytes.
+        scenarios = _fig2_scenarios()[:3]
+        options = dict(include_variance=variance, include_breakdown=breakdown)
+        batch = evaluate_batch(scenarios, **options)
+        for scenario, among in zip(scenarios, batch):
+            want = _lattice_oracle(scenario, **options)
+            for result in (evaluate(scenario, **options), among):
+                _assert_identical(result, want, variance=variance)
+                assert result.cost_breakdown == want.cost_breakdown
 
     def test_degenerate_single_point_batch(self):
         scenario = GCSParameters.small_test()
         (result,) = evaluate_batch([scenario], include_variance=True)
         _assert_identical(
-            result, evaluate(scenario, include_variance=True), variance=True
+            result, _lattice_oracle(scenario, include_variance=True), variance=True
         )
 
     def test_empty_batch(self):
@@ -655,7 +749,7 @@ class TestEvaluateBatchBitIdentical:
         batch = evaluate_batch(scenarios)
         for scenario, result in zip(scenarios, batch):
             assert result.params == scenario
-            _assert_identical(result, evaluate(scenario))
+            _assert_identical(result, _lattice_oracle(scenario))
 
     def test_network_tuple_scenarios(self):
         params = GCSParameters.small_test()
@@ -706,15 +800,20 @@ class TestEvaluateBatchBitIdentical:
         good = GCSParameters.small_test()
         outcomes = evaluate_batch_outcomes([good, "not-a-scenario"])
         assert outcomes[0][1] is None
-        _assert_identical(outcomes[0][0], evaluate(good))
+        _assert_identical(outcomes[0][0], _lattice_oracle(good))
         assert outcomes[1][0] is None
         assert isinstance(outcomes[1][1], ParameterError)
         with pytest.raises(ParameterError, match="batch scenario"):
             evaluate_batch([good, "not-a-scenario"])
 
     def test_solver_tag(self):
-        (result,) = evaluate_batch([GCSParameters.small_test()])
-        assert result.solver == "acyclic-batch"
+        # Every fast result carries one label, whichever entry point or
+        # backend produced it.
+        params = GCSParameters.small_test()
+        (batched,) = evaluate_batch([params])
+        (serial,) = SerialBackend().run(evaluate_request, [EvalRequest(params)])
+        for result in (batched, evaluate(params), serial.value):
+            assert result.solver == "acyclic-batch"
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +898,7 @@ class TestVectorBackend:
         outcomes = VectorBackend().run(evaluate_request, [good, bad])
         assert outcomes[0].ok
         _assert_identical(
-            outcomes[0].value, evaluate(GCSParameters.small_test())
+            outcomes[0].value, _lattice_oracle(GCSParameters.small_test())
         )
         assert not outcomes[1].ok
         assert outcomes[1].error_type == "ParameterError"
@@ -816,7 +915,7 @@ class TestVectorBackend:
         assert batch.report.n_unique == 4
         assert batch.report.n_evaluated == 4
         for request, result in zip(requests, batch.results[:4]):
-            _assert_identical(result, evaluate(request.params))
+            _assert_identical(result, _lattice_oracle(request.params))
 
 
 class TestModelCacheParityAcrossBackends:
@@ -848,7 +947,7 @@ class TestModelCacheParityAcrossBackends:
         return stats, results
 
     def test_hit_miss_parity_both_orders(self, tmp_path):
-        # The per-point oracle, the batched solver and its pool fan-out,
+        # One point at a time, the batched solver and its pool fan-out,
         # every pair cold-then-warm in both orders.
         legs = ("serial", "vector", "vector:2")
         runs = [
@@ -872,32 +971,28 @@ class TestModelCacheParityAcrossBackends:
 class TestSweepRouting:
     GRID = (15.0, 60.0, 240.0, 960.0)
 
-    def test_tradeoff_curve_vector_parity(self):
-        params = GCSParameters.small_test()
-        serial = tradeoff_curve(params, self.GRID)
+    def test_tradeoff_curve_progress_in_grid_order(self, monkeypatch):
+        # One batched solve for the whole grid; progress then sees every
+        # point once, in grid order, with the oracle's bytes.
+        from repro.core import optimizer
+
+        calls = []
+        batch = optimizer.evaluate_batch
+
+        def counted(scenarios, **kwargs):
+            calls.append(len(scenarios))
+            return batch(scenarios, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate_batch", counted)
         seen = []
-        vector = tradeoff_curve(
-            params, self.GRID, workers="vector", progress=seen.append
+        curve = tradeoff_curve(
+            GCSParameters.small_test(), self.GRID, progress=seen.append
         )
-        assert [p.tids_s for p in vector] == list(self.GRID)
-        assert len(seen) == len(self.GRID)
-        for s, v in zip(serial, vector):
-            _assert_identical(v.result, s.result)
-
-    def test_tradeoff_curve_rejects_unknown_spec(self):
-        with pytest.raises(ParameterError, match="vector"):
-            tradeoff_curve(
-                GCSParameters.small_test(), self.GRID, workers="warp"
-            )
-
-    def test_optimize_tids_vector_parity(self):
-        params = GCSParameters.small_test()
-        serial = optimize_tids(params, self.GRID)
-        vector = optimize_tids(params, self.GRID, workers="vector")
-        assert vector.optimal_tids_s == serial.optimal_tids_s
-        assert [p.mttsf_s for p in vector.curve] == [
-            p.mttsf_s for p in serial.curve
-        ]
+        assert calls == [len(self.GRID)]
+        assert seen == curve
+        assert [p.tids_s for p in curve] == list(self.GRID)
+        for point in curve:
+            _assert_identical(point.result, _lattice_oracle(point.result.params))
 
     def test_model_grid_sweep_vector_parity(self):
         grid = {"num_voters": (3, 5), "detection_interval_s": (15.0, 60.0)}

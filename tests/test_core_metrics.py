@@ -145,6 +145,18 @@ class TestEvaluateOutputs:
         with pytest.raises(ParameterError):
             evaluate(params, method="spn", include_breakdown=True)
 
+    @pytest.mark.parametrize("option", ["include_breakdown", "include_variance"])
+    def test_spn_options_refused_before_any_build(self, params, monkeypatch, option):
+        import repro.core.metrics as metrics
+
+        def built(*args, **kwargs):
+            raise AssertionError("the SPN was built before the option check")
+
+        monkeypatch.setattr(metrics, "build_gcs_spn", built)
+        monkeypatch.setattr(metrics, "analyze_spn", built)
+        with pytest.raises(ParameterError, match=option):
+            evaluate(params, method="spn", **{option: True})
+
     def test_result_helpers(self, params):
         r = evaluate(params)
         assert r.mttsf_hours == pytest.approx(r.mttsf_s / 3600)

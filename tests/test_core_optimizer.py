@@ -119,17 +119,6 @@ class TestOptimizeTids:
             )
 
 
-class TestParallelSweep:
-    @pytest.mark.parametrize("workers", [0, 2, "thread"])
-    def test_invalid_workers(self, params, workers):
-        # A parallel T_IDS sweep is run_tids_sweep on a vector:N runner;
-        # tradeoff_curve itself is per point or one batched sweep.
-        with pytest.raises(ParameterError, match="vector"):
-            tradeoff_curve(params, [30.0, 120.0], workers=workers)
-        with pytest.raises(ParameterError, match="vector"):
-            optimize_tids(params, [30.0, 120.0], workers=workers)
-
-
 class TestScenarioOptimize:
     def test_scenario_wrapper(self, params):
         sc = Scenario(params)

@@ -33,7 +33,6 @@ from repro.core.fastpath import (
     lattice_structure,
 )
 from repro.core.metrics import (
-    evaluate,
     evaluate_batch,
     evaluate_survivability,
     evaluate_survivability_batch,
@@ -46,6 +45,7 @@ from repro.ctmc.transient import BATCH_EQUIVALENCE_RTOL, absorption_cdf
 from repro.detection.functions import vector_shape_factor
 from repro.params import GCSParameters
 from repro.voting.majority import _table_cached, clear_table_cache
+from test_batch_solver import _lattice_oracle
 from test_transient_batch import _assert_curves_equal
 
 FORMS = ("logarithmic", "linear", "polynomial")
@@ -316,7 +316,7 @@ def test_tiny_lattice_batch_equals_per_point(n):
     scenarios = _tiny_scenarios(n)
     batched = evaluate_batch(scenarios, include_variance=True)
     for params, got in zip(scenarios, batched):
-        want = evaluate(params, include_variance=True)
+        want = _lattice_oracle(params, include_variance=True)
         assert got.mttsf_s == want.mttsf_s
         assert got.ctotal_hop_bits_s == want.ctotal_hop_bits_s
         assert got.failure_probabilities == want.failure_probabilities

@@ -155,13 +155,10 @@ class TestRemoteVsSerial:
                 theirs.to_dict()
             )
 
-    def test_survivability_identical_on_every_backend(self, server):
-        # One uniformization on every path: switching backends changes
-        # no survivability byte outside the wall-clock fields.
-        requests = [
-            SurvivabilityRequest(params=request.params, times_s=(0.0, 0.5, 2.0, 5.0))
-            for request in _requests()
-        ]
+    @staticmethod
+    def _assert_identical_on_every_backend(server, requests):
+        # One solver on every path: switching backends changes no record
+        # byte outside the wall-clock fields, solver label included.
         records = {}
         for jobs in (f"remote:{server.url}", "serial", "vector", "vector:2"):
             runner = BatchRunner(backend=make_backend(jobs))
@@ -169,8 +166,25 @@ class TestRemoteVsSerial:
             batch.report.raise_on_error()
             records[jobs] = [_strip_timings(r.to_dict()) for r in batch.results]
         serial = records.pop("serial")
-        for jobs, curves in records.items():
-            assert curves == serial, jobs
+        for jobs, results in records.items():
+            assert results == serial, jobs
+
+    def test_model_identical_on_every_backend(self, server):
+        requests = _requests() + [
+            EvalRequest(
+                params=GCSParameters.small_test(),
+                include_breakdown=True,
+                include_variance=True,
+            )
+        ]
+        self._assert_identical_on_every_backend(server, requests)
+
+    def test_survivability_identical_on_every_backend(self, server):
+        requests = [
+            SurvivabilityRequest(params=request.params, times_s=(0.0, 0.5, 2.0, 5.0))
+            for request in _requests()
+        ]
+        self._assert_identical_on_every_backend(server, requests)
 
     def test_warm_shared_cache_byte_identical(self, server, tmp_path):
         requests = _requests()
