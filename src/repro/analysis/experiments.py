@@ -19,8 +19,7 @@ from .. import constants as C
 from ..core.optimizer import TradeoffPoint
 from ..core.results import GCSResult
 from ..core.scenario import Scenario
-from ..engine.batch import BatchRunner, EvalRequest, evaluate_request, run_tids_sweep
-from ..engine.executor import SerialBackend
+from ..engine.batch import BatchRunner, EvalRequest, make_runner, run_tids_sweep
 from ..errors import ExperimentError
 from ..params import GCSParameters
 from ..sim.runner import run_replications
@@ -42,16 +41,19 @@ __all__ = [
 class ExperimentConfig:
     """Knobs shared by all experiments.
 
-    ``runner`` plugs in a :class:`repro.engine.batch.BatchRunner`: every
-    model sweep then goes through its cache + execution backend (the
-    CLI's ``--jobs`` / ``--cache-dir`` flags build one). ``None`` keeps
-    the serial in-process seed path. Both paths evaluate the identical
-    model code, so the produced series are byte-identical.
+    ``runner`` is the :class:`repro.engine.batch.BatchRunner` every
+    model evaluation goes through, with its cache and execution
+    backend (the CLI's ``--jobs`` / ``--cache-dir`` flags build one).
+    The default is ``make_runner("vector")``: the in-process batched
+    solver with a memory cache. Every backend writes the same bytes,
+    so the series do not depend on the runner.
     """
 
     quick: bool = True
     seed: int = 0
-    runner: Optional[BatchRunner] = field(default=None, compare=False)
+    runner: BatchRunner = field(
+        default_factory=lambda: make_runner("vector"), compare=False
+    )
 
     @property
     def num_nodes(self) -> int:
@@ -136,54 +138,34 @@ def _sweep_tids(
     config: ExperimentConfig,
     **overrides,
 ) -> list[TradeoffPoint]:
-    """Route a ``TIDS`` sweep through the engine when one is configured.
+    """One ``TIDS`` sweep as one batch through the configured runner.
 
-    Engine and serial path evaluate the same model on the same shared
-    network environment; the engine additionally deduplicates repeated
-    scenario points across figures and can fan out over processes.
+    Every point shares the scenario's network environment; the runner
+    deduplicates repeated scenario points across figures and can fan
+    out over processes.
     """
-    if config.runner is not None:
-        return run_tids_sweep(
-            config.runner,
-            scenario.params,
-            grid,
-            network=scenario.network,
-            overrides=overrides,
-        )
-    return scenario.sweep_tids(grid, **overrides)
-
-
-def _evaluate_point(
-    scenario: Scenario, config: ExperimentConfig, **overrides
-) -> GCSResult:
-    """Single-point analogue of :func:`_sweep_tids`."""
-    if config.runner is not None:
-        return config.runner.evaluate(
-            EvalRequest(
-                params=scenario.params.replacing(**overrides),
-                network=scenario.network,
-            )
-        )
-    return scenario.evaluate(**overrides)
+    return run_tids_sweep(
+        config.runner,
+        scenario.params,
+        grid,
+        network=scenario.network,
+        overrides=overrides,
+    )
 
 
 def _evaluate_requests(
     config: ExperimentConfig, requests: Sequence[EvalRequest]
 ) -> list[GCSResult]:
-    """Evaluate arbitrary requests through the configured runner.
+    """Evaluate arbitrary requests as one batch through the runner.
 
-    With a runner the whole list is one deduplicated, cached,
-    possibly-parallel batch that aborts on any point failure (matching
-    the serial path's exception semantics); without one it is the plain
-    in-process loop over the identical evaluation code.
+    The batch is deduplicated, cached and possibly parallel, and it
+    aborts on any point failure.
     """
-    if config.runner is not None:
-        batch = config.runner.run(requests)
-        batch.report.raise_on_error()
-        results = list(batch.results)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-    return [evaluate_request(request) for request in requests]
+    batch = config.runner.run(requests)
+    batch.report.raise_on_error()
+    results = list(batch.results)
+    assert all(r is not None for r in results)
+    return results  # type: ignore[return-value]
 
 
 def _fig2(config: ExperimentConfig) -> tuple[list[DataSeries], list[str]]:
@@ -314,14 +296,20 @@ def _ablation_hostids(config: ExperimentConfig) -> tuple[list[DataSeries], list[
     """Host-IDS quality sweep (p1 = p2)."""
     scenario = _base_scenario(config)
     levels = (0.001, 0.005, 0.01, 0.02, 0.05)
-    mttsf: list[float] = []
-    ctotal: list[float] = []
-    for p_err in levels:
-        result = _evaluate_point(
-            scenario, config, host_false_negative=p_err, host_false_positive=p_err
-        )
-        mttsf.append(result.mttsf_s)
-        ctotal.append(result.ctotal_hop_bits_s)
+    results = _evaluate_requests(
+        config,
+        [
+            EvalRequest(
+                params=scenario.params.replacing(
+                    host_false_negative=p_err, host_false_positive=p_err
+                ),
+                network=scenario.network,
+            )
+            for p_err in levels
+        ],
+    )
+    mttsf = [r.mttsf_s for r in results]
+    ctotal = [r.ctotal_hop_bits_s for r in results]
     notes = [
         f"p1=p2={levels[0]:g} -> MTTSF {mttsf[0]:.3e}s; "
         f"p1=p2={levels[-1]:g} -> MTTSF {mttsf[-1]:.3e}s",
@@ -362,7 +350,7 @@ def _ablation_ng_coupling(
         for nu_p in partition_rates
     ]
     # Both solver variants of every grid point go through the engine as
-    # one batch when a runner is configured (cached + parallelisable).
+    # one batch (cached + parallelisable).
     results = _evaluate_requests(
         config,
         [EvalRequest(params=p, method="fast") for p in grid_params]
@@ -410,7 +398,7 @@ def _validation_sim(config: ExperimentConfig) -> tuple[list[DataSeries], list[st
         for tids in grid
     ]
 
-    # Analytic side: one engine batch when a runner is configured.
+    # Analytic side: one engine batch.
     analytic = [
         r.mttsf_s
         for r in _evaluate_requests(
@@ -421,8 +409,7 @@ def _validation_sim(config: ExperimentConfig) -> tuple[list[DataSeries], list[st
     # Simulation side: the replication batches are embarrassingly
     # parallel across grid points, so fan them out over the runner's
     # execution backend (they are stochastic, hence never cached).
-    backend = config.runner.backend if config.runner is not None else SerialBackend()
-    outcomes = backend.run(
+    outcomes = config.runner.backend.run(
         _valsim_replications, [(p, reps, config.seed) for p in grid_params]
     )
     sim_mean: list[float] = []

@@ -26,11 +26,11 @@ Subcommands:
   workers may join, and the server survives them dying mid-chunk.
 
 ``run``, ``paper``, ``sweep`` and ``survivability`` all accept
-``--jobs N|auto|vector[:N]|remote[:URL]`` (evaluation backend;
-0/1 = serial; ``vector`` = the structure-sharing batched solver;
-``N`` / ``vector:N`` = the vector+procs hybrid fanning batch chunks
-over ``N`` pool workers, ``auto`` one per usable CPU; ``remote`` =
-submit to a sweep service),
+``--jobs N|auto|serial|vector[:N]|remote[:URL]`` (evaluation backend;
+default ``vector``, the structure-sharing batched solver; 0/1/``serial``
+= serial; ``N`` / ``vector:N`` = the vector+procs hybrid fanning batch
+chunks over ``N`` pool workers, ``auto`` one per usable CPU;
+``remote`` = submit to a sweep service),
 ``--cache-dir DIR`` (persistent content-addressed
 result cache, safe to share between concurrent processes),
 ``--cache-cap-mb MB`` (LRU disk eviction cap) and
@@ -91,7 +91,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=_jobs_spec,
-        default=None,
+        default="vector",
         metavar="N",
         help=(
             "evaluation backend: 'vector' (structure-sharing batched "
@@ -99,7 +99,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
             "(vector+procs hybrid: batched chunks fanned over N pool "
             "workers), 'auto' ('vector:auto', one worker per usable CPU), "
             "or 'remote[:URL]' (submit to a sweep service started with "
-            "'serve'; URL defaults to $REPRO_SERVICE_URL); 0/1 = serial"
+            "'serve'; URL defaults to $REPRO_SERVICE_URL); default "
+            "'vector'; 0/1/'serial' = serial"
         ),
     )
     parser.add_argument(
@@ -174,22 +175,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_runner(args: argparse.Namespace) -> Optional[BatchRunner]:
-    """A runner when any engine flag is set; ``None`` keeps the seed path.
-
-    A lone ``--cache-cap-mb`` also reaches :func:`make_runner` so its
-    "requires --cache-dir" validation fires instead of the flag being
-    silently dropped.
-    """
-    if args.jobs is None and args.cache_dir is None and args.cache_cap_mb is None:
-        return None
-    return make_runner(args.jobs, args.cache_dir, cache_cap_mb=args.cache_cap_mb)
-
-
 def _print_cache_stats(
-    runner: Optional[BatchRunner], verbose: bool, report: Any = None
+    runner: BatchRunner, verbose: bool, report: Any = None
 ) -> None:
-    if runner is None or not verbose:
+    if not verbose:
         return
     print(runner.cache.describe())
     stats = runner.cache.stats.as_dict()
@@ -278,7 +267,7 @@ def _manifest_path(args: argparse.Namespace) -> Optional[Path]:
 
 def _finish_obs(
     args: argparse.Namespace,
-    runner: Optional[BatchRunner],
+    runner: BatchRunner,
     *,
     fingerprints: Optional[Sequence[str]] = None,
     errors: Sequence[Any] = (),
@@ -305,14 +294,12 @@ def _finish_obs(
                 ["repro-experiments", args.command]
                 + ([args.experiment] if hasattr(args, "experiment") else [])
             ),
-            backend=runner.backend.describe() if runner is not None else None,
+            backend=runner.backend.describe(),
             params_digest=(
                 params_digest(fingerprints) if fingerprints is not None else None
             ),
             reports=batch_reports(),
-            cache_stats=(
-                runner.cache.stats.as_dict() if runner is not None else None
-            ),
+            cache_stats=runner.cache.stats.as_dict(),
             errors=[error.as_dict() for error in errors],
         )
         manifest.write(manifest_path)
@@ -567,8 +554,8 @@ def _cmd_run(
     full: bool,
     seed: int,
     out: Optional[str],
+    runner: BatchRunner,
     plot: bool = False,
-    runner: Optional[BatchRunner] = None,
     verbose: bool = False,
 ) -> int:
     exp = get_experiment(experiment)
@@ -593,14 +580,14 @@ def _cmd_paper(
     full: bool,
     seed: int,
     out: Optional[str],
-    runner: Optional[BatchRunner] = None,
+    runner: BatchRunner,
     verbose: bool = False,
 ) -> int:
     status = 0
     for fig in ("fig2", "fig3", "fig4", "fig5"):
-        status |= _cmd_run(fig, full, seed, out, runner=runner)
+        status |= _cmd_run(fig, full, seed, out, runner)
         print()
-    if runner is not None and not verbose:
+    if not verbose:
         print(runner.cache.describe())
     _print_cache_stats(runner, verbose)
     return status
@@ -656,7 +643,7 @@ def _sweep_campaign(args: argparse.Namespace) -> Campaign:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     campaign = _sweep_campaign(args)
-    runner = _build_runner(args) or BatchRunner()
+    runner = make_runner(args.jobs, args.cache_dir, cache_cap_mb=args.cache_cap_mb)
     progress, progress_done = (
         _make_progress(len(campaign)) if args.progress else (None, lambda: None)
     )
@@ -768,7 +755,7 @@ def _cmd_survivability(args: argparse.Namespace) -> int:
         base=base,
         eps=args.eps,
     )
-    runner = _build_runner(args) or BatchRunner()
+    runner = make_runner(args.jobs, args.cache_dir, cache_cap_mb=args.cache_cap_mb)
     progress, progress_done = (
         _make_progress(len(sweep)) if args.progress else (None, lambda: None)
     )
@@ -869,7 +856,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "a server cannot evaluate through --jobs remote (that would "
             "just forward to another server); pick a local backend"
         )
-    runner = _build_runner(args) or BatchRunner()
+    runner = make_runner(args.jobs, args.cache_dir, cache_cap_mb=args.cache_cap_mb)
     service = SweepService(
         runner,
         manifest_dir=args.manifest_dir,
@@ -914,7 +901,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
             "a worker cannot evaluate through --jobs remote (it IS the "
             "remote end); pick a local backend"
         )
-    backend = make_backend(jobs) if jobs is not None else None
+    backend = make_backend(jobs)
     url = (
         args.server
         or os.environ.get("REPRO_SERVICE_URL", "").strip()
@@ -968,26 +955,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "run":
-            runner = _build_runner(args)
+            runner = make_runner(
+                args.jobs, args.cache_dir, cache_cap_mb=args.cache_cap_mb
+            )
             code = _cmd_run(
                 args.experiment,
                 args.full,
                 args.seed,
                 args.out,
+                runner,
                 plot=args.plot,
-                runner=runner,
                 verbose=args.verbose,
             )
             _finish_obs(args, runner)
             return code
         if args.command == "paper":
-            runner = _build_runner(args)
+            runner = make_runner(
+                args.jobs, args.cache_dir, cache_cap_mb=args.cache_cap_mb
+            )
             code = _cmd_paper(
-                args.full,
-                args.seed,
-                args.out,
-                runner=runner,
-                verbose=args.verbose,
+                args.full, args.seed, args.out, runner, verbose=args.verbose
             )
             _finish_obs(args, runner)
             return code

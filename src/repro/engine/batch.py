@@ -9,8 +9,8 @@ cache) is shared across a whole campaign, so identical scenario points
 requested by different figures are evaluated exactly once.
 
 A per-point failure becomes a :class:`PointError` in the report rather
-than an exception; callers that want the seed path's abort-on-error
-semantics call :meth:`BatchReport.raise_on_error`.
+than an exception; callers that want to abort on any failed point
+call :meth:`BatchReport.raise_on_error`.
 """
 
 from __future__ import annotations

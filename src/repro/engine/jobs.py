@@ -36,7 +36,6 @@ from .batch import (
     SurvivabilityRequest,
     evaluate_survivability_request,
 )
-from .executor import SerialBackend
 
 __all__ = [
     "SweepJob",
@@ -55,9 +54,8 @@ class SweepJob:
     """One named parameter grid over :meth:`GCSParameters.replacing` keys.
 
     ``base`` is applied to :meth:`GCSParameters.paper_defaults` first;
-    each axis assignment is layered on top. Axis order is significant
-    (the cartesian product iterates the last axis fastest), matching
-    :func:`repro.analysis.sweep.grid_sweep`.
+    each axis assignment is layered on top. Axis order is significant:
+    the cartesian product iterates the last axis fastest.
     """
 
     name: str
@@ -178,7 +176,7 @@ class Campaign:
         progress: Optional[ProgressFn] = None,
     ) -> "CampaignOutcome":
         """Expand every job, submit once, scatter results per job."""
-        runner = runner or BatchRunner(backend=SerialBackend())
+        runner = runner or BatchRunner()
         expanded = [(job, job.requests()) for job in self.jobs]
         flat = [req for _, reqs in expanded for _, req in reqs]
         batch = runner.run(flat, progress=progress)
@@ -317,7 +315,7 @@ class SurvivabilitySweep:
         progress: Optional[ProgressFn] = None,
     ) -> "SurvivabilityOutcome":
         """Submit every grid point as one deduplicated batch."""
-        runner = runner or BatchRunner(backend=SerialBackend())
+        runner = runner or BatchRunner()
         expanded = self.requests()
         batch = runner.run(
             [req for _, req in expanded],

@@ -1,4 +1,4 @@
-"""Analysis harness: data series, tables, sweeps, IO, registry."""
+"""Analysis harness: data series, tables, IO, registry."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.analysis import (
     DataSeries,
     ExperimentConfig,
     get_experiment,
-    grid_sweep,
     list_experiments,
     render_table,
     run,
@@ -71,32 +70,6 @@ class TestTables:
         s = DataSeries.build("demo", "x", [1], "y", {"a": [2.0]})
         out = render_series(s)
         assert "demo" in out and "2.0000e+00" in out
-
-
-class TestGridSweep:
-    def test_cartesian_order(self):
-        calls = []
-        grid_sweep(
-            {"a": [1, 2], "b": ["x", "y"]},
-            lambda a, b: calls.append((a, b)) or f"{a}{b}",
-        )
-        assert calls == [(1, "x"), (1, "y"), (2, "x"), (2, "y")]
-
-    def test_points_carry_values(self):
-        pts = grid_sweep({"a": [3]}, lambda a: a * 2)
-        assert pts[0].value == 6
-        assert pts[0].assignment == {"a": 3}
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            grid_sweep({}, lambda: None)
-        with pytest.raises(ParameterError):
-            grid_sweep({"a": []}, lambda a: None)
-
-    def test_progress_callback(self):
-        seen = []
-        grid_sweep({"a": [1, 2]}, lambda a: a, progress=seen.append)
-        assert len(seen) == 2
 
 
 class TestRegistry:

@@ -9,7 +9,7 @@ size-independent; the N = 100 campaign is pinned by
 ``perfbench/reference/paper-full.json``), and cover the engine
 routing: ``VectorBackend`` / ``--jobs vector``, cache hit/miss parity
 across serial, vector and vector:N, ``tradeoff_curve`` and
-``model_grid_sweep``.
+``SweepJob`` campaigns.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import constants as C
-from repro.analysis.sweep import model_grid_sweep
 from repro.core.failure import FailureClass
 from repro.core.fastpath import (
     build_lattice_chain,
@@ -52,11 +51,14 @@ from repro.ctmc.birth_death import BirthDeathProcess
 from repro.ctmc.chain import CTMC
 from repro.engine import (
     BatchRunner,
+    Campaign,
     EvalRequest,
     ResultCache,
     SerialBackend,
+    SweepJob,
     VectorBackend,
     make_backend,
+    make_runner,
 )
 from repro.engine.batch import evaluate_request
 from repro.errors import ModelError, ParameterError, SolverError
@@ -965,7 +967,7 @@ class TestModelCacheParityAcrossBackends:
 
 
 # ---------------------------------------------------------------------------
-# tradeoff_curve / optimize_tids / model_grid_sweep routing
+# tradeoff_curve / optimize_tids / SweepJob routing
 # ---------------------------------------------------------------------------
 
 class TestSweepRouting:
@@ -994,20 +996,15 @@ class TestSweepRouting:
         for point in curve:
             _assert_identical(point.result, _lattice_oracle(point.result.params))
 
-    def test_model_grid_sweep_vector_parity(self):
-        grid = {"num_voters": (3, 5), "detection_interval_s": (15.0, 60.0)}
-        serial = model_grid_sweep(grid, params=GCSParameters.small_test())
-        vector = model_grid_sweep(
-            grid, params=GCSParameters.small_test(), backend="vector"
+    def test_sweep_job_vector_parity(self):
+        job = SweepJob(
+            name="parity",
+            axes={"num_voters": (3, 5), "detection_interval_s": (15.0, 60.0)},
+            base={"num_nodes": 12},
         )
-        assert [p.assignment for p in serial] == [p.assignment for p in vector]
-        for s, v in zip(serial, vector):
-            _assert_identical(v.value, s.value)
-
-    def test_model_grid_sweep_rejects_params_and_base(self):
-        with pytest.raises(ParameterError, match="params or base"):
-            model_grid_sweep(
-                {"num_voters": (3,)},
-                params=GCSParameters.small_test(),
-                base={"num_nodes": 12},
-            )
+        campaign = Campaign(name="parity", jobs=(job,))
+        (serial,) = campaign.run(make_runner("serial")).outcomes
+        (vector,) = campaign.run(make_runner("vector")).outcomes
+        assert [a for a, _ in serial.points] == [a for a, _ in vector.points]
+        for (_, s), (_, v) in zip(serial.points, vector.points):
+            _assert_identical(v, s)

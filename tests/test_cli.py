@@ -215,7 +215,7 @@ class TestObservabilityFlags:
 
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["schema_version"] == 2
-        assert manifest["backend"] == "serial"
+        assert manifest["backend"] == "vector"
         assert len(manifest["params_digest"]) == 64
         # The manifest report mirrors the artifact's own report counts.
         artifact = json.loads(out.read_text())
@@ -262,6 +262,19 @@ class TestObservabilityFlags:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "repro-experiments run abl-hostids"
+        assert manifest["reports"], "batch ledger missing from manifest"
+
+    def test_no_flag_run_manifest_names_its_backend(self, capsys, tmp_path):
+        out = tmp_path / "artifacts"
+        code = main([
+            "run", "abl-hostids",
+            "--out", str(out),
+            "--metrics-out", str(tmp_path / "metrics.json"),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["backend"] == "vector"
+        assert manifest["cache_stats"] is not None
         assert manifest["reports"], "batch ledger missing from manifest"
 
     def test_bad_log_level_is_a_cli_error(self, capsys):

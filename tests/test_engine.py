@@ -7,7 +7,11 @@ import time
 
 import pytest
 
-from repro.analysis.sweep import grid_sweep
+from repro.analysis.experiments import (
+    ExperimentConfig,
+    get_experiment,
+    list_experiments,
+)
 from repro.core.scenario import Scenario
 from repro.engine import (
     BatchRunner,
@@ -619,6 +623,18 @@ class TestJobs:
         with pytest.raises(ParameterError):
             outcome.outcome("nope")
 
+    def test_points_pair_each_assignment_with_its_result(self):
+        job = SweepJob(
+            name="j",
+            axes={"num_voters": (3, 5), "detection_interval_s": (15.0, 60.0)},
+            base={"num_nodes": 12},
+        )
+        (outcome,) = Campaign(name="c", jobs=(job,)).run(BatchRunner()).outcomes
+        base = GCSParameters.paper_defaults(num_nodes=12)
+        assert [assignment for assignment, _ in outcome.points] == job.assignments()
+        for assignment, result in outcome.points:
+            assert result.params == base.replacing(**assignment)
+
     def test_paper_campaign_shape(self):
         campaign = paper_campaign(quick=True)
         assert [job.name.split("_")[0] for job in campaign.jobs] == [
@@ -636,79 +652,23 @@ class TestJobs:
 # ---------------------------------------------------------------------------
 
 class TestExperimentIntegration:
-    def test_engine_backed_experiment_identical_to_seed_path(self):
-        from repro.analysis.experiments import ExperimentConfig, get_experiment
-
-        exp = get_experiment("abl-hostids")
-        seed_path = exp.run(ExperimentConfig(quick=True))
-        engine_path = exp.run(
-            ExperimentConfig(quick=True, runner=BatchRunner())
-        )
-        assert [s.to_dict() for s in seed_path.series] == [
-            s.to_dict() for s in engine_path.series
-        ]
-        assert seed_path.notes == engine_path.notes
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("experiment_id", ["abl-coupling", "val-sim"])
-    def test_newly_routed_experiments_identical_to_seed_path(
-        self, experiment_id
-    ):
-        # PR 2 routed the last registry experiments through the engine:
-        # abl-coupling (two solver variants per point, one batch) and
-        # val-sim (analytic batch + replication fan-out). Both must be
-        # byte-identical to the serial path.
-        from repro.analysis.experiments import ExperimentConfig, get_experiment
-
+    @pytest.mark.parametrize(
+        "experiment_id",
+        [
+            pytest.param(e.id, marks=pytest.mark.slow)
+            if e.id in ("abl-coupling", "val-sim")
+            else e.id
+            for e in list_experiments()
+            if e.id != "scale"  # its series are wall times
+        ],
+    )
+    def test_serial_runner_matches_default(self, experiment_id):
+        # One point at a time or the default batched runner: the same
+        # series and notes, for every registry experiment.
         exp = get_experiment(experiment_id)
-        seed_path = exp.run(ExperimentConfig(quick=True))
-        engine_path = exp.run(
-            ExperimentConfig(quick=True, runner=BatchRunner())
-        )
-        assert [s.to_dict() for s in seed_path.series] == [
-            s.to_dict() for s in engine_path.series
+        default = exp.run(ExperimentConfig(quick=True))
+        serial = exp.run(ExperimentConfig(quick=True, runner=make_runner("serial")))
+        assert [s.to_dict() for s in serial.series] == [
+            s.to_dict() for s in default.series
         ]
-        assert seed_path.notes == engine_path.notes
-
-
-# ---------------------------------------------------------------------------
-# grid_sweep integration (bugfix + backend routing)
-# ---------------------------------------------------------------------------
-
-class TestGridSweepEngine:
-    def test_generator_axes_accepted(self):
-        pts = grid_sweep(
-            {"a": (x for x in (1, 2)), "b": iter(["x"])},
-            lambda a, b: f"{a}{b}",
-        )
-        assert [p.value for p in pts] == ["1x", "2x"]
-
-    def test_empty_generator_axis_rejected(self):
-        with pytest.raises(ParameterError, match="axis 'a' is empty"):
-            grid_sweep({"a": (x for x in ())}, lambda a: a)
-
-    def test_backend_routing_preserves_order(self):
-        pts = grid_sweep({"x": [3, 1, 2]}, _square, backend=SerialBackend())
-        assert [p.value for p in pts] == [9, 1, 4]
-
-    def test_capture_errors_serial_and_backend(self):
-        for kwargs in ({}, {"backend": SerialBackend()}):
-            pts = grid_sweep(
-                {"x": [1, 2, 3]}, _explode_on_two,
-                capture_errors=True, **kwargs,
-            )
-            assert [p.ok for p in pts] == [True, False, True]
-            assert pts[1].value is None and "boom" in pts[1].error
-
-    def test_backend_error_propagates_original_exception(self):
-        # Same exception type as the serial path, not a stringified wrap.
-        with pytest.raises(ValueError, match="boom"):
-            grid_sweep({"x": [1, 2]}, _explode_on_two, backend=SerialBackend())
-        with pytest.raises(ValueError, match="boom"):
-            grid_sweep({"x": [1, 2]}, _explode_on_two)
-
-    def test_process_backend_sweep(self):
-        pts = grid_sweep(
-            {"x": list(range(5))}, _square, backend=VectorBackend(chunk_workers=2)
-        )
-        assert [p.value for p in pts] == [0, 1, 4, 9, 16]
+        assert serial.notes == default.notes

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analysis.sweep import survivability_grid_sweep
 from repro.cli import main as cli_main
 from repro.core.metrics import (
     evaluate_survivability,
@@ -542,7 +541,7 @@ class TestCacheParityAcrossBackends:
 
 
 # ---------------------------------------------------------------------------
-# SurvivabilitySweep + analysis sweep + CLI
+# SurvivabilitySweep + CLI
 # ---------------------------------------------------------------------------
 
 class TestSurvivabilitySweep:
@@ -588,6 +587,14 @@ class TestSurvivabilitySweep:
         )
         assert warm.report.n_cache_hits == len(sweep)
 
+    def test_vector_parity_with_serial(self):
+        sweep = self._sweep()
+        serial = sweep.run(BatchRunner(backend=SerialBackend()))
+        vector = sweep.run(BatchRunner(backend=VectorBackend()))
+        assert [a for a, _ in serial.points] == [a for a, _ in vector.points]
+        for (_, s), (_, v) in zip(serial.points, vector.points):
+            _assert_curves_equal(v, s)
+
     def test_validation(self):
         with pytest.raises(ParameterError, match="strictly increasing"):
             SurvivabilitySweep(name="x", times_s=(2.0, 1.0))
@@ -595,39 +602,6 @@ class TestSurvivabilitySweep:
             SurvivabilitySweep(name="", times_s=TIMES)
         with pytest.raises(ParameterError, match="axis"):
             SurvivabilitySweep(name="x", times_s=TIMES, axes={"num_voters": ()})
-
-
-class TestSurvivabilityGridSweep:
-    def test_vector_parity_with_serial(self):
-        grid = {"detection_interval_s": (60.0, 240.0)}
-        serial = survivability_grid_sweep(
-            grid, TIMES, params=GCSParameters.small_test()
-        )
-        vector = survivability_grid_sweep(
-            grid, TIMES, params=GCSParameters.small_test(), backend="vector"
-        )
-        assert [p.assignment for p in serial] == [p.assignment for p in vector]
-        for s, v in zip(serial, vector):
-            _assert_curves_equal(v.value, s.value)
-
-    def test_base_path_uses_sweep_spec(self):
-        points = survivability_grid_sweep(
-            {"num_voters": (3, 5)},
-            TIMES,
-            base={"num_nodes": N_TEST},
-            backend="vector",
-        )
-        assert [p.assignment["num_voters"] for p in points] == [3, 5]
-        assert all(p.ok for p in points)
-
-    def test_rejects_params_and_base(self):
-        with pytest.raises(ParameterError, match="params or base"):
-            survivability_grid_sweep(
-                {"num_voters": (3,)},
-                TIMES,
-                params=GCSParameters.small_test(),
-                base={"num_nodes": 12},
-            )
 
 
 class TestSurvivabilityCli:
